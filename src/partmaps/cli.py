@@ -42,7 +42,13 @@ from .counting import (
     count_units,
 )
 from .cycles import find_preserved_partition, preserved_m_partition_exists
-from .enumeration import chi_classes, iter_idempotents, iter_sigma, iter_t, iter_units
+from .enumeration import (
+    chi_classes,
+    enumerate_idempotents,
+    enumerate_sigma,
+    enumerate_t,
+    enumerate_units,
+)
 from .membership import (
     character,
     in_sigma,
@@ -225,28 +231,21 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _member_stream(p: SetPartition, set_name: str, strategy: str, guard: int):
+def _enumerate(p: SetPartition, set_name: str, strategy: str, limit: int | None, guard: int):
     if set_name == "T":
-        return iter_t(p, strategy, guard)
+        return enumerate_t(p, strategy, limit, guard)
     if set_name == "Sigma":
-        return iter_sigma(p, strategy, guard)
+        return enumerate_sigma(p, strategy, limit, guard)
     if set_name == "S":
-        return iter_units(p, strategy, guard)
-    if set_name == "E-Sigma":
-        return iter_idempotents(p, "sigma", strategy, guard)
-    return iter_idempotents(p, "t", strategy, guard)
+        return enumerate_units(p, strategy, limit, guard)
+    ambient = "sigma" if set_name == "E-Sigma" else "t"
+    return enumerate_idempotents(p, ambient, strategy, limit, guard)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     p = _load_partition(args.partition)
-    stream = _member_stream(p, args.set, args.strategy, args.guard)
-    maps: list[Transformation] = []
-    truncated = False
-    for f in stream:
-        if args.limit is not None and len(maps) == args.limit:
-            truncated = True
-            break
-        maps.append(f)
+    result = _enumerate(p, args.set, args.strategy, args.limit, args.guard)
+    maps, truncated = result.maps, result.truncated
     if args.format == "json":
         _emit_json(
             {

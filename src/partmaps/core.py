@@ -235,16 +235,12 @@ class CharacterMap:
             raise ValueError(f"block counts differ: {self.m} != {other.m}")
         return CharacterMap(tuple(other.images[j] for j in self.images))
 
-    # on a finite set a selfmap is injective iff surjective iff bijective;
-    # the three names exist so call sites can state their intent
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.m
-
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == self.m
-
     def is_bijective(self) -> bool:
         return len(set(self.images)) == self.m
+
+    # on a finite set a selfmap is injective iff surjective iff bijective;
+    # the three names exist so call sites can state their intent
+    is_surjective = is_injective = is_bijective
 
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.images))

@@ -5,13 +5,19 @@ image tables, whatever the strategy, so different strategies can be
 compared element by element.  Two strategies exist throughout:
 
 * ``brute``: run through all n**n image tables and keep the members.
-* ``constructive``: assemble members blockwise (each preserving map is a
-  free choice, per block, of a codomain block and a map into it), never
-  touching a non-member.
+* ``constructive``: assemble members point by point (each preserving map
+  is a free choice, per block, of a codomain block and a map into it),
+  never touching a non-member.  One depth-first assembler serves T, Sigma,
+  S and the idempotents of Sigma; the sets differ only in which images a
+  point may take given the images before it.  It streams, so the first k
+  members cost O(k * n) steps.
 
 A work guard protects against accidentally enormous enumerations; it
-bounds the number of candidate maps a call may visit (all n**n tables for
-``brute``, the exact member count for ``constructive``).
+bounds the number of candidate maps a call may visit, and it is checked
+when the call is made.  It counts all n**n tables for ``brute``, the exact
+member count for ``constructive``, and ``min(count, limit + 1)`` for a
+constructive ``enumerate_*`` call with a ``limit``.  The idempotents of T
+are a filter of T and keep T's full bound, as does ``brute``.
 """
 
 from __future__ import annotations
@@ -89,106 +95,141 @@ def _brute_preserving(p: SetPartition) -> Iterator[Transformation]:
             yield Transformation(images)
 
 
-def _assemble_preserving(p: SetPartition, distinct_codomains: bool) -> Iterator[Transformation]:
-    """Depth-first blockwise assembly, in lexicographic image-table order.
+def _options(p: SetPartition, set_name: str):
+    """The rule that tells the assembler which images point x may take.
 
-    The first point of each block picks any image, fixing the codomain
-    block; later points of the block stay inside that codomain.  With
-    ``distinct_codomains`` the codomain choice must be injective across
-    blocks, which assembles exactly the maps whose block-index map is a
-    bijection.
+    ``options(x, images)`` lists them ascending, given ``images[:x]``.  The
+    lead of a block is its first point; the codomain block it picks holds
+    the images of the rest of the block.  Every partial table a rule admits
+    extends to a member, so the search never runs into a dead end.
     """
-    n = p.n
-    blocks = p.blocks
     idx = p.block_index
-    is_first = [False] * n
-    for block in blocks:
-        is_first[block[0]] = True
-    images = [0] * n
-    chosen = [-1] * p.m
-    taken = [False] * p.m
+    blocks = p.blocks
+    sizes = p.sizes
+    points = tuple(range(p.n))
+    lead = tuple(blocks[b][0] for b in idx)
+    before = tuple(tuple(y for y in blocks[idx[x]] if y < x) for x in points)
 
-    def rec(x: int) -> Iterator[Transformation]:
-        if x == n:
-            yield Transformation(tuple(images))
-            return
-        b = idx[x]
-        if is_first[x]:
-            for v in range(n):
-                j = idx[v]
-                if distinct_codomains and taken[j]:
-                    continue
-                chosen[b] = j
-                taken[j] = True
-                images[x] = v
-                yield from rec(x + 1)
-                taken[j] = False
+    def untaken(pool, x: int, images: list[int]) -> list[int]:
+        """The points of ``pool`` in blocks no lead before x has picked."""
+        taken = {idx[images[block[0]]] for block in blocks[: idx[x]]}
+        return [v for v in pool if idx[v] not in taken]
+
+    def t_rule(x: int, images: list[int]):
+        if lead[x] == x:
+            return points
+        return blocks[idx[images[lead[x]]]]
+
+    def sigma_rule(x: int, images: list[int]):
+        if lead[x] == x:
+            return untaken(points, x, images)
+        return blocks[idx[images[lead[x]]]]
+
+    def units_rule(x: int, images: list[int]):
+        if lead[x] == x:
+            size = sizes[idx[x]]
+            return untaken([v for v in points if sizes[idx[v]] == size], x, images)
+        hit = {images[y] for y in before[x]}
+        return [v for v in blocks[idx[images[lead[x]]]] if v not in hit]
+
+    def idempotent_rule(x: int, images: list[int]):
+        # every image is a fixed point: x fixes itself once a point of its
+        # block (no other can) maps to x, and a smaller image is fixed already
+        if any(images[y] == x for y in before[x]):
+            return (x,)
+        return [v for v in blocks[idx[x]] if v >= x or images[v] == v]
+
+    return {"T": t_rule, "Sigma": sigma_rule, "S": units_rule, "E-Sigma": idempotent_rule}[set_name]
+
+
+def _assemble(p: SetPartition, options) -> Iterator[Transformation]:
+    """Depth-first, point by point, in lexicographic order of image tables."""
+    last = p.n - 1
+    images = [0] * p.n
+    pending: list[Iterator[int]] = []  # pending[x]: images of x not yet tried
+    x = 0
+    while x >= 0:
+        if x == last:
+            head = tuple(images[:last])
+            for v in options(last, images):
+                yield Transformation(head + (v,))
+            x -= 1
+            continue
+        if x == len(pending):
+            pending.append(iter(options(x, images)))
+        v = next(pending[x], None)
+        if v is None:
+            pending.pop()
+            x -= 1
         else:
-            for v in blocks[chosen[b]]:
-                images[x] = v
-                yield from rec(x + 1)
+            images[x] = v
+            x += 1
 
-    return rec(0)
+
+def _members(
+    p: SetPartition, set_name: str, strategy: str, guard: int, limit: int | None = None
+) -> Iterator[Transformation]:
+    """The members of T, Sigma, S, E-Sigma or E-T, checked against the guard.
+
+    The guard is checked before the first member is produced.  A
+    constructive call with a ``limit`` builds at most ``limit + 1`` members,
+    so only ``min(count, limit + 1)`` of them count against the guard.
+    """
+    _check_strategy(strategy)
+    if set_name == "E-T" or (set_name == "E-Sigma" and strategy == "brute"):
+        # filters of another set, under that set's full bound
+        base = iter_t if set_name == "E-T" else iter_sigma
+        return (f for f in base(p, strategy, guard) if is_idempotent(f))
+    if strategy == "brute":
+        check_guard(p.n**p.n, guard, "brute-force candidate maps")
+        if set_name == "Sigma":
+            return (f for f in _brute_preserving(p) if in_sigma(f, p))
+        if set_name == "S":
+            return (f for f in _brute_preserving(p) if in_units(f, p))
+        return _brute_preserving(p)
+    if limit is None or limit >= guard:  # otherwise min(count, limit + 1) <= guard
+        what, required = _member_count(p, set_name, guard)
+        check_guard(required if limit is None else min(required, limit + 1), guard, what)
+    return _assemble(p, _options(p, set_name))
+
+
+def _member_count(p: SetPartition, set_name: str, guard: int) -> tuple[str, int]:
+    """What the guard of a constructive route counts, and how many there are."""
+    profile = profile_of(p)
+    if set_name == "T":
+        return "preserving maps", count_t(profile)
+    if set_name == "Sigma":
+        return "Sigma members", count_sigma_grouped(profile, guard)
+    if set_name == "S":
+        return "units", count_units(profile)
+    return "Sigma idempotents", count_sigma_idempotents(profile)
+
+
+def _idempotent_set(ambient: str) -> str:
+    if ambient not in ("t", "sigma"):
+        raise ValueError(f"unknown ambient {ambient!r}, expected 't' or 'sigma'")
+    return "E-T" if ambient == "t" else "E-Sigma"
 
 
 def iter_t(
     p: SetPartition, strategy: str = "constructive", guard: int = DEFAULT_GUARD
 ) -> Iterator[Transformation]:
     """All maps sending every block into a block, lexicographically."""
-    _check_strategy(strategy)
-    if strategy == "brute":
-        check_guard(p.n**p.n, guard, "brute-force candidate maps")
-        return _brute_preserving(p)
-    check_guard(count_t(profile_of(p)), guard, "preserving maps")
-    return _assemble_preserving(p, distinct_codomains=False)
+    return _members(p, "T", strategy, guard)
 
 
 def iter_sigma(
     p: SetPartition, strategy: str = "constructive", guard: int = DEFAULT_GUARD
 ) -> Iterator[Transformation]:
     """All preserving maps whose image meets every block, lexicographically."""
-    _check_strategy(strategy)
-    if strategy == "brute":
-        check_guard(p.n**p.n, guard, "brute-force candidate maps")
-        return (f for f in _brute_preserving(p) if in_sigma(f, p))
-    check_guard(count_sigma_grouped(profile_of(p), guard), guard, "Sigma members")
-    return _assemble_preserving(p, distinct_codomains=True)
+    return _members(p, "Sigma", strategy, guard)
 
 
 def iter_units(
     p: SetPartition, strategy: str = "constructive", guard: int = DEFAULT_GUARD
 ) -> Iterator[Transformation]:
     """All units among the preserving maps, lexicographically."""
-    _check_strategy(strategy)
-    if strategy == "brute":
-        check_guard(p.n**p.n, guard, "brute-force candidate maps")
-        return (f for f in _brute_preserving(p) if in_units(f, p))
-    check_guard(count_units(profile_of(p)), guard, "units")
-    return iter(_assemble_units(p))
-
-
-def _assemble_units(p: SetPartition) -> list[Transformation]:
-    """Size-respecting block permutation, then a bijection per block."""
-    blocks = p.blocks
-    by_size: dict[int, list[int]] = {}
-    for i, block in enumerate(blocks):
-        by_size.setdefault(len(block), []).append(i)
-    classes = list(by_size.values())
-    out: list[Transformation] = []
-    for targets in itertools.product(*(itertools.permutations(c) for c in classes)):
-        phi = {}
-        for cls, tgt in zip(classes, targets):
-            for i, j in zip(cls, tgt):
-                phi[i] = j
-        pools = [list(itertools.permutations(blocks[phi[i]])) for i in range(p.m)]
-        for assignment in itertools.product(*pools):
-            images = [0] * p.n
-            for block, values in zip(blocks, assignment):
-                for x, y in zip(block, values):
-                    images[x] = y
-            out.append(Transformation(tuple(images)))
-    out.sort()
-    return out
+    return _members(p, "S", strategy, guard)
 
 
 def iter_idempotents(
@@ -199,58 +240,23 @@ def iter_idempotents(
 ) -> Iterator[Transformation]:
     """Idempotents of the chosen ambient semigroup, lexicographically.
 
-    ``ambient="t"`` filters the full enumeration of preserving maps, since
-    no blockwise assembly is available there.  ``ambient="sigma"`` has a
+    ``ambient="t"`` filters the enumeration of preserving maps, since no
+    blockwise assembly is available there.  ``ambient="sigma"`` has a
     constructive route: an independent idempotent selfmap per block.
     """
-    _check_strategy(strategy)
-    if ambient == "t":
-        return (f for f in iter_t(p, strategy=strategy, guard=guard) if is_idempotent(f))
-    if ambient != "sigma":
-        raise ValueError(f"unknown ambient {ambient!r}, expected 't' or 'sigma'")
-    if strategy == "brute":
-        return (f for f in iter_sigma(p, strategy="brute", guard=guard) if is_idempotent(f))
-    profile = profile_of(p)
-    work = sum(size**size for size, _ in profile.entries) + count_sigma_idempotents(profile)
-    check_guard(work, guard, "idempotent assembly")
-    return iter(_assemble_sigma_idempotents(p))
+    return _members(p, _idempotent_set(ambient), strategy, guard)
 
 
-def _idempotent_selfmaps(size: int) -> list[tuple[int, ...]]:
-    """All idempotent selfmaps on {0..size-1}, by literal filtering."""
-    return [
-        t
-        for t in itertools.product(range(size), repeat=size)
-        if all(t[t[x]] == t[x] for x in range(size))
-    ]
-
-
-def _assemble_sigma_idempotents(p: SetPartition) -> list[Transformation]:
-    pools_by_size = {s: _idempotent_selfmaps(s) for s in set(p.sizes)}
-    pools = [
-        [tuple(block[v] for v in t) for t in pools_by_size[len(block)]]
-        for block in p.blocks
-    ]
-    out: list[Transformation] = []
-    for assignment in itertools.product(*pools):
-        images = [0] * p.n
-        for block, values in zip(p.blocks, assignment):
-            for x, y in zip(block, values):
-                images[x] = y
-        out.append(Transformation(tuple(images)))
-    out.sort()
-    return out
-
-
-def _collect(stream: Iterator[Transformation], limit: int | None) -> Enumeration:
+def _collect(
+    p: SetPartition, set_name: str, strategy: str, limit: int | None, guard: int
+) -> Enumeration:
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    stream = _members(p, set_name, strategy, guard, limit)
     if limit is None:
         return Enumeration(list(stream), False)
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
     maps = list(itertools.islice(stream, limit + 1))
-    if len(maps) > limit:
-        return Enumeration(maps[:limit], True)
-    return Enumeration(maps, False)
+    return Enumeration(maps[:limit], len(maps) > limit)
 
 
 def enumerate_t(
@@ -259,7 +265,7 @@ def enumerate_t(
     limit: int | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> Enumeration:
-    return _collect(iter_t(p, strategy, guard), limit)
+    return _collect(p, "T", strategy, limit, guard)
 
 
 def enumerate_sigma(
@@ -268,7 +274,7 @@ def enumerate_sigma(
     limit: int | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> Enumeration:
-    return _collect(iter_sigma(p, strategy, guard), limit)
+    return _collect(p, "Sigma", strategy, limit, guard)
 
 
 def enumerate_units(
@@ -277,7 +283,7 @@ def enumerate_units(
     limit: int | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> Enumeration:
-    return _collect(iter_units(p, strategy, guard), limit)
+    return _collect(p, "S", strategy, limit, guard)
 
 
 def enumerate_idempotents(
@@ -287,7 +293,7 @@ def enumerate_idempotents(
     limit: int | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> Enumeration:
-    return _collect(iter_idempotents(p, ambient, strategy, guard), limit)
+    return _collect(p, _idempotent_set(ambient), strategy, limit, guard)
 
 
 def chi_classes(p: SetPartition, guard: int = DEFAULT_GUARD) -> list[ChiClass]:

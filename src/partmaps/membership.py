@@ -154,13 +154,12 @@ def in_units(f: Transformation, p: SetPartition) -> bool:
     directly, f is a permutation and both f and its inverse preserve p.
     """
     _require_same_n(f, p)
+    if not f.is_bijection():
+        return False
     try:
-        family = block_map_family(f, p)
+        return character(f, p).is_bijective()
     except NotPreservingError:
         return False
-    if not all(bm.is_bijection() for bm in family):
-        return False
-    return family.character().is_bijective()
 
 
 def is_idempotent(f: Transformation) -> bool:

@@ -29,6 +29,7 @@ from .counting import (
     count_units,
 )
 from .cycles import (
+    _smallest_proper_divisor,
     decompose,
     find_preserved_partition,
     preserved_m_partition_exists,
@@ -290,19 +291,10 @@ def _check_divisibility(n, divisibility):
                 f"exhaustive search for n={n}, m={m}",
             )
     found = find_preserved_partition(cycle)
-    is_prime = _smallest_factor(n) is None
+    is_prime = _smallest_proper_divisor(n) is None
     divisibility.check(
         (found is None) == is_prime, f"prime-length cycle rule at n={n}"
     )
-
-
-def _smallest_factor(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return None
 
 
 def _check_full_cycle_units(p, data, uniform, label):

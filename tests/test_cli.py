@@ -182,6 +182,25 @@ class TestEnumerate:
         assert code == 3
         assert "exceeds guard" in err
 
+    def test_negative_limit_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "-p", "0,1|2", "--set", "T", "--limit", "-1")
+        assert (code, out) == (2, "")
+        assert "limit must be nonnegative" in err
+
+    def test_limit_bounds_the_guard_of_a_prefix(self, capsys):
+        argv = ["enumerate", "-p", "0|1|2|3|4|5|6|7|8", "--set", "T", "--limit", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            "0,0,0,0,0,0,0,0,0",
+            "0,0,0,0,0,0,0,0,1",
+            "0,0,0,0,0,0,0,0,2",
+            "# total: 3 (truncated)",
+        ]
+        code, _, err = run(capsys, *argv, "--strategy", "brute")
+        assert code == 3
+        assert "exceeds guard" in err
+
 
 class TestQuotient:
     def test_table_and_footer(self, capsys):

@@ -31,6 +31,7 @@ from strategies import partitions
 P3 = SetPartition(((0, 1), (2,)))
 SINGLE = SetPartition(((0, 1, 2),))
 DISCRETE = SetPartition(((0,), (1,), (2,)))
+NINE_SINGLETONS = SetPartition(tuple((i,) for i in range(9)))
 
 
 class TestEnumerateT:
@@ -156,6 +157,58 @@ class TestGuards:
         p = SetPartition((tuple(range(9)),))
         with pytest.raises(GuardExceededError, match="exceeds guard 1000"):
             iter_t(p, guard=1000)
+
+    def test_limit_bounds_a_constructive_prefix(self):
+        out = enumerate_t(NINE_SINGLETONS, limit=3)
+        assert [f.images for f in out] == [(0,) * 8 + (y,) for y in range(3)]
+        assert out.truncated
+
+    def test_long_prefix_counts_limit_plus_one(self):
+        with pytest.raises(GuardExceededError) as err:
+            enumerate_t(NINE_SINGLETONS, limit=2000, guard=1000)
+        assert err.value.required == 2001
+
+    def test_brute_and_e_t_keep_their_full_bounds_under_a_limit(self):
+        with pytest.raises(GuardExceededError) as err:
+            enumerate_t(NINE_SINGLETONS, strategy="brute", limit=3, guard=1000)
+        assert err.value.required == 9**9
+        with pytest.raises(GuardExceededError) as err:
+            enumerate_idempotents(NINE_SINGLETONS, ambient="t", limit=3, guard=1000)
+        assert err.value.required == 9**9
+
+    def test_sigma_idempotent_guard_counts_members(self):
+        p = SetPartition((tuple(range(5)), tuple(range(5, 10))))
+        with pytest.raises(GuardExceededError) as err:
+            iter_idempotents(p, guard=1000)
+        assert err.value.required == count_sigma_idempotents(profile_of(p)) == 196**2
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the transformations constructed while a test runs."""
+    count = [0]
+    init = Transformation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Transformation, "__init__", counting_init)
+    return count
+
+
+class TestLaziness:
+    def test_units_prefix_builds_only_the_prefix(self, built):
+        p = SetPartition(tuple((i,) for i in range(8)))
+        out = enumerate_units(p, limit=3)
+        assert [f.images[5:] for f in out] == [(5, 6, 7), (5, 7, 6), (6, 5, 7)]
+        assert built[0] <= 4
+
+    def test_sigma_idempotent_prefix_builds_only_the_prefix(self, built):
+        p = SetPartition((tuple(range(5)), tuple(range(5, 10))))
+        out = enumerate_idempotents(p, limit=3)
+        assert len(out) == 3 and out.truncated
+        assert built[0] <= 4
 
 
 class TestAlgebraicStructure:
