@@ -29,6 +29,7 @@ from .core import (
     PartitionProfile,
     SetPartition,
     Transformation,
+    check_guard,
     format_partition,
     format_transformation,
     parse_partition,
@@ -372,9 +373,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "command": "verify",
                 "n_max": args.n_max,
                 "checks": [
-                    {"name": r.name, "passed": r.passed, "cases": r.cases, "detail": r.detail}
+                    {
+                        "name": r.name,
+                        "passed": r.passed,
+                        "cases": r.cases,
+                        "detail": r.detail,
+                        "seconds": r.seconds,
+                    }
                     for r in results
                 ],
+                "census_seconds": results.census_seconds,
                 "all_passed": all_passed,
             }
         )
@@ -461,6 +469,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # reject a bad guard even where the subcommand never consults it
+        check_guard(0, args.guard, "nothing")
         return args.func(args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,8 @@ class GuardExceededError(RuntimeError):
 
 
 def check_guard(required: int, guard: int, what: str) -> None:
+    if guard < 1:
+        raise ValueError("guard must be positive")
     if required > guard:
         raise GuardExceededError(what, required, guard)
 

@@ -3,21 +3,25 @@
 Runs every structural law the package relies on over all set partitions of
 all ground sets up to a requested size, using brute-force enumeration as
 the reference on one side of each comparison.  Each law gets one named
-result with a pass flag and a case count, so a caller can render a
-pass/fail matrix.
+result with a pass flag, a case count and its own wall time in seconds, so
+a caller can render a pass/fail matrix; the run also reports the time
+spent building the shared brute-force census.  Failure text is built only
+for failing cases, and only for the first three of each law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
+from operator import itemgetter
+from time import perf_counter
+from typing import Callable
 
 from .core import (
     DEFAULT_GUARD,
     SetPartition,
     Transformation,
     check_guard,
-    compose,
     iter_partitions,
     profile_of,
 )
@@ -60,6 +64,17 @@ class CheckResult:
     passed: bool
     cases: int
     detail: str = ""
+    seconds: float = 0.0
+
+
+class VerificationRun(list):
+    """The results of :func:`run_verification`, one per law in report order.
+
+    ``census_seconds`` is the time spent building the brute-force census
+    that every law reads; each result's ``seconds`` is its law's own time.
+    """
+
+    census_seconds: float = 0.0
 
 
 @dataclass
@@ -67,20 +82,32 @@ class _Tally:
     name: str
     cases: int = 0
     failures: int = 0
+    seconds: float = 0.0
     examples: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, describe: str = "") -> None:
+    def check(self, ok: bool, describe: Callable[[], str]) -> None:
+        """Count one case; ``describe`` builds its text only if it is kept.
+
+        ``describe`` runs before ``check`` returns, so a lambda closing over
+        loop variables sees the values of the failing case.
+        """
         self.cases += 1
         if not ok:
             self.failures += 1
             if len(self.examples) < 3:
-                self.examples.append(describe)
+                self.examples.append(describe())
+
+    def run(self, law: Callable[..., None], *args) -> None:
+        """Run ``law(self, *args)`` and add its wall time to this tally."""
+        start = perf_counter()
+        law(self, *args)
+        self.seconds += perf_counter() - start
 
     def result(self) -> CheckResult:
         detail = f"{self.cases} cases"
         if self.failures:
             detail += f", {self.failures} failures: " + "; ".join(self.examples)
-        return CheckResult(self.name, self.failures == 0, self.cases, detail)
+        return CheckResult(self.name, self.failures == 0, self.cases, detail, self.seconds)
 
 
 def _census(p: SetPartition, guard: int) -> dict[str, list[Transformation]]:
@@ -95,7 +122,7 @@ def _census(p: SetPartition, guard: int) -> dict[str, list[Transformation]]:
     }
 
 
-def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> list[CheckResult]:
+def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
     """Run the whole harness for every partition of every n up to n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -112,25 +139,29 @@ def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> list[CheckResult
     quotient = _Tally("chi-quotient-classes")
     divisibility = _Tally("full-cycle-divisibility")
     uniform = _Tally("full-cycle-units-uniform")
+    census_seconds = 0.0
 
     for n in range(1, n_max + 1):
         for p in iter_partitions(n):
+            start = perf_counter()
             data = _census(p, guard)
+            census_seconds += perf_counter() - start
             label = str(p)
-            _check_cardinalities(p, data, guard, cardinality, strategies)
-            _check_containments(p, data, containment)
-            _check_four_way(p, data, four_way, label)
+            cardinality.run(_check_cardinalities, p, data, guard, label)
+            strategies.run(_check_strategies, p, data, guard, label)
+            containment.run(_check_containments, data, label)
+            four_way.run(_check_four_way, p, data, label)
             if n <= PAIRWISE_N_MAX:
-                _check_homomorphism(p, data, homomorphism, label)
-            _check_units(p, data, units_law, label)
-            _check_sigma_idempotents(p, data, sigma_idem, label)
-            _check_t_idempotents(p, data, t_idem, label)
-            _check_quotient(p, data, guard, quotient, label)
-            _check_full_cycle_units(p, data, uniform, label)
+                homomorphism.run(_check_homomorphism, p, data, label)
+            units_law.run(_check_units, p, data, label)
+            sigma_idem.run(_check_sigma_idempotents, p, data, label)
+            t_idem.run(_check_t_idempotents, p, data, label)
+            quotient.run(_check_quotient, p, data, guard, label)
+            uniform.run(_check_full_cycle_units, p, data, label)
         if n >= 3:
-            _check_divisibility(n, divisibility)
+            divisibility.run(_check_divisibility, n)
 
-    return [
+    run = VerificationRun(
         t.result()
         for t in (
             cardinality,
@@ -145,113 +176,133 @@ def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> list[CheckResult
             divisibility,
             uniform,
         )
-    ]
+    )
+    run.census_seconds = census_seconds
+    return run
 
 
-def _check_cardinalities(p, data, guard, cardinality, strategies):
-    label = str(p)
+def _check_cardinalities(cardinality, p, data, guard, label):
     profile = profile_of(p)
-    cardinality.check(len(data["t"]) == count_t(profile), f"|T| at {label}")
+    cardinality.check(len(data["t"]) == count_t(profile), lambda: f"|T| at {label}")
     sigma_n = len(data["sigma"])
-    cardinality.check(sigma_n == count_sigma_direct(p, guard), f"|Sigma| direct at {label}")
     cardinality.check(
-        sigma_n == count_sigma_grouped(profile, guard), f"|Sigma| grouped at {label}"
+        sigma_n == count_sigma_direct(p, guard), lambda: f"|Sigma| direct at {label}"
     )
-    cardinality.check(len(data["units"]) == count_units(profile), f"|S| at {label}")
     cardinality.check(
-        len(data["e_sigma"]) == count_sigma_idempotents(profile), f"|E(Sigma)| at {label}"
+        sigma_n == count_sigma_grouped(profile, guard), lambda: f"|Sigma| grouped at {label}"
     )
+    cardinality.check(len(data["units"]) == count_units(profile), lambda: f"|S| at {label}")
+    cardinality.check(
+        len(data["e_sigma"]) == count_sigma_idempotents(profile),
+        lambda: f"|E(Sigma)| at {label}",
+    )
+
+
+def _check_strategies(strategies, p, data, guard, label):
     strategies.check(
         data["t"] == list(iter_t(p, strategy="constructive", guard=guard)),
-        f"T sequences at {label}",
+        lambda: f"T sequences at {label}",
     )
     strategies.check(
         data["sigma"] == list(iter_sigma(p, strategy="constructive", guard=guard)),
-        f"Sigma sequences at {label}",
+        lambda: f"Sigma sequences at {label}",
     )
     strategies.check(
         data["units"] == list(iter_units(p, strategy="constructive", guard=guard)),
-        f"unit sequences at {label}",
+        lambda: f"unit sequences at {label}",
     )
     strategies.check(
         data["e_sigma"]
         == list(iter_idempotents(p, ambient="sigma", strategy="constructive", guard=guard)),
-        f"E(Sigma) sequences at {label}",
+        lambda: f"E(Sigma) sequences at {label}",
     )
 
 
-def _check_containments(p, data, containment):
-    label = str(p)
+def _check_containments(containment, data, label):
     t_set = set(data["t"])
     sigma_set = set(data["sigma"])
-    containment.check(sigma_set <= t_set, f"Sigma inside T at {label}")
-    containment.check(set(data["units"]) <= sigma_set, f"units inside Sigma at {label}")
+    containment.check(sigma_set <= t_set, lambda: f"Sigma inside T at {label}")
+    containment.check(set(data["units"]) <= sigma_set, lambda: f"units inside Sigma at {label}")
     containment.check(
         set(data["e_sigma"]) == sigma_set & set(data["e_t"]),
-        f"E(Sigma) = Sigma intersect E(T) at {label}",
+        lambda: f"E(Sigma) = Sigma intersect E(T) at {label}",
     )
 
 
-def _check_four_way(p, data, four_way, label):
+def _check_four_way(four_way, p, data, label):
     for f in data["t"]:
         a = in_sigma(f, p)
         b = sigma_via_character(f, p)
         c = is_e_star_preserving(f, p)
         d = sigma_via_topology(f, p)
-        four_way.check(a == b == c == d, f"{f} at {label}")
+        four_way.check(a == b == c == d, lambda: f"{f} at {label}")
 
 
-def _check_homomorphism(p, data, homomorphism, label):
-    chars = {f: character(f, p) for f in data["t"]}
+def _reader(table: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map s -> tuple(s[x] for x in table), as one C-level call."""
+    if len(table) > 1:
+        return itemgetter(*table)
+    (x,) = table
+    return lambda s: (s[x],)  # itemgetter of one index returns a bare item
+
+
+def _check_homomorphism(homomorphism, p, data, label):
+    # chi(fg) = chi(f)chi(g) on image tables: T is closed under composition,
+    # so chi(fg) is looked up instead of recomputed once per pair, and a
+    # composite outside T finds no entry and fails its case
+    char_of = {f.images: character(f, p).images for f in data["t"]}
+    lookup = char_of.get
+    check = homomorphism.check
+    right = [(g, g.images, char_of[g.images]) for g in data["t"]]
     for f in data["t"]:
-        cf = chars[f]
-        for g in data["t"]:
-            expected = cf.compose(chars[g])
-            homomorphism.check(
-                character(compose(f, g), p) == expected, f"{f};{g} at {label}"
-            )
+        then_f = _reader(f.images)  # the table of fg from the table of g
+        then_cf = _reader(char_of[f.images])
+        for g, gi, cg in right:
+            check(lookup(then_f(gi)) == then_cf(cg), lambda: f"{f};{g} at {label}")
 
 
-def _check_units(p, data, units_law, label):
+def _check_units(units_law, p, data, label):
     unit_set = set(data["units"])
     for f in data["t"]:
         direct = f.is_bijection() and preserves(f, p) and preserves(f.inverse(), p)
-        units_law.check((f in unit_set) == direct, f"unit criteria disagree on {f} at {label}")
+        units_law.check(
+            (f in unit_set) == direct, lambda: f"unit criteria disagree on {f} at {label}"
+        )
     for f in data["units"]:
         for block in p.blocks:
             image = tuple(sorted(f.images[x] for x in block))
             units_law.check(
                 image in p.blocks and len(image) == len(block),
-                f"block image of {f} at {label}",
+                lambda: f"block image of {f} at {label}",
             )
 
 
-def _check_sigma_idempotents(p, data, sigma_idem, label):
+def _check_sigma_idempotents(sigma_idem, p, data, label):
     for f in data["sigma"]:
         sigma_idem.check(
             is_idempotent(f) == sigma_idempotent_via_blocks(f, p),
-            f"blockwise idempotence of {f} at {label}",
+            lambda: f"blockwise idempotence of {f} at {label}",
         )
     for f in data["e_sigma"]:
         sigma_idem.check(
-            character(f, p).is_identity(), f"character of idempotent {f} at {label}"
+            character(f, p).is_identity(), lambda: f"character of idempotent {f} at {label}"
         )
 
 
-def _check_t_idempotents(p, data, t_idem, label):
+def _check_t_idempotents(t_idem, p, data, label):
     for f in data["e_t"]:
         chi = character(f, p)
-        t_idem.check(chi.is_idempotent(), f"character of {f} at {label}")
+        t_idem.check(chi.is_idempotent(), lambda: f"character of {f} at {label}")
         family = block_map_family(f, p)
         for i in set(chi.images):
             t_idem.check(
-                family[i].is_idempotent(), f"block map {i} of {f} at {label}"
+                family[i].is_idempotent(), lambda: f"block map {i} of {f} at {label}"
             )
 
 
-def _check_quotient(p, data, guard, quotient, label):
+def _check_quotient(quotient, p, data, guard, label):
     classes = chi_classes(p, guard=guard)
-    quotient.check(len(classes) == factorial(p.m), f"class count at {label}")
+    quotient.check(len(classes) == factorial(p.m), lambda: f"class count at {label}")
     grouped: dict[tuple[int, ...], int] = {}
     for f in data["sigma"]:
         key = character(f, p).images
@@ -259,50 +310,50 @@ def _check_quotient(p, data, guard, quotient, label):
     for cls in classes:
         quotient.check(
             grouped.get(cls.character.images, 0) == cls.size,
-            f"class {cls.character} size at {label}",
+            lambda: f"class {cls.character} size at {label}",
         )
         quotient.check(
             in_sigma(cls.representative, p)
             and character(cls.representative, p) == cls.character,
-            f"representative of {cls.character} at {label}",
+            lambda: f"representative of {cls.character} at {label}",
         )
     quotient.check(
         sum(cls.size for cls in classes) == len(data["sigma"]),
-        f"class sizes sum at {label}",
+        lambda: f"class sizes sum at {label}",
     )
 
 
-def _check_divisibility(n, divisibility):
+def _check_divisibility(divisibility, n):
     cycle = Transformation(tuple((x + 1) % n for x in range(n)))
     for m in range(2, n):
         exists, witness = preserved_m_partition_exists(cycle, m)
-        divisibility.check(exists == (n % m == 0), f"existence for n={n}, m={m}")
+        divisibility.check(exists == (n % m == 0), lambda: f"existence for n={n}, m={m}")
         if exists:
             divisibility.check(
                 witness is not None
                 and witness.m == m
                 and not witness.is_trivial
                 and in_units(cycle, witness),
-                f"witness for n={n}, m={m}",
+                lambda: f"witness for n={n}, m={m}",
             )
         else:
             divisibility.check(
                 search_unit_m_partition(cycle, m) is None,
-                f"exhaustive search for n={n}, m={m}",
+                lambda: f"exhaustive search for n={n}, m={m}",
             )
     found = find_preserved_partition(cycle)
     is_prime = _smallest_proper_divisor(n) is None
     divisibility.check(
-        (found is None) == is_prime, f"prime-length cycle rule at n={n}"
+        (found is None) == is_prime, lambda: f"prime-length cycle rule at n={n}"
     )
 
 
-def _check_full_cycle_units(p, data, uniform, label):
+def _check_full_cycle_units(uniform, p, data, label):
     for f in data["units"]:
         dec = decompose(f)
         if not dec.is_full_cycle():
             continue
         chi = character(f, p)
         chi_dec = decompose(chi.as_transformation())
-        uniform.check(chi_dec.is_full_cycle(), f"character cycle of {f} at {label}")
-        uniform.check(p.is_uniform, f"uniformity for {f} at {label}")
+        uniform.check(chi_dec.is_full_cycle(), lambda: f"character cycle of {f} at {label}")
+        uniform.check(p.is_uniform, lambda: f"uniformity for {f} at {label}")

@@ -286,6 +286,11 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_passed"] is True
         assert all(check["passed"] for check in payload["checks"])
+        for check in payload["checks"]:
+            assert list(check) == ["name", "passed", "cases", "detail", "seconds"]
+            assert isinstance(check["seconds"], float) and check["seconds"] >= 0
+        assert isinstance(payload["census_seconds"], float) and payload["census_seconds"] > 0
+        assert sum(c["seconds"] for c in payload["checks"]) > 0
 
     def test_csv(self, capsys):
         _, out, _ = run(capsys, "verify", "--n-max", "1", "--format", "csv")
@@ -297,6 +302,31 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n-max", "9")
         assert code == 3
         assert "exceeds guard" in err
+
+
+class TestGuardArgument:
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma"],
+            ["count", "--profile", "2:1,1:1", "--set", "T"],
+            ["count", "-p", "0,1|2", "--set", "Sigma"],
+            ["enumerate", "-p", "0,1|2", "--set", "T", "--limit", "2"],
+            ["quotient", "-p", "0,1|2"],
+            ["character", "-p", "0,1|2", "-f", "2,2,0"],
+            ["find-partition", "-f", "1,0,3,2"],
+            ["verify", "--n-max", "2"],
+        ],
+    )
+    def test_guard_below_one_is_an_input_error(self, capsys, argv, guard):
+        code, out, err = run(capsys, *argv, "--guard", guard)
+        assert (code, out) == (2, "")
+        assert err == "error: guard must be positive\n"
+
+    def test_guard_of_one_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "count", "--profile", "2:1,1:1", "--set", "T", "--guard", "1")
+        assert (code, out) == (0, "15\n")
 
 
 class TestUsageErrors:

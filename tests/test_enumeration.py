@@ -13,7 +13,13 @@ from partmaps.core import (
     iter_partitions,
     profile_of,
 )
-from partmaps.counting import count_sigma_direct, count_sigma_idempotents, count_t, count_units
+from partmaps.counting import (
+    count_sigma_direct,
+    count_sigma_grouped,
+    count_sigma_idempotents,
+    count_t,
+    count_units,
+)
 from partmaps.enumeration import (
     chi_classes,
     enumerate_idempotents,
@@ -26,6 +32,7 @@ from partmaps.enumeration import (
     iter_units,
 )
 from partmaps.membership import character, in_sigma
+from partmaps.verification import run_verification
 from strategies import partitions
 
 P3 = SetPartition(((0, 1), (2,)))
@@ -181,6 +188,30 @@ class TestGuards:
         with pytest.raises(GuardExceededError) as err:
             iter_idempotents(p, guard=1000)
         assert err.value.required == count_sigma_idempotents(profile_of(p)) == 196**2
+
+    @pytest.mark.parametrize("guard", [0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: count_sigma_direct(P3, guard=g),
+            lambda g: count_sigma_grouped(profile_of(P3), guard=g),
+            lambda g: iter_t(P3, guard=g),
+            lambda g: iter_t(P3, strategy="brute", guard=g),
+            lambda g: iter_sigma(P3, guard=g),
+            lambda g: iter_units(P3, guard=g),
+            lambda g: iter_idempotents(P3, ambient="t", guard=g),
+            lambda g: iter_idempotents(P3, ambient="sigma", guard=g),
+            lambda g: enumerate_t(P3, limit=0, guard=g),
+            lambda g: enumerate_sigma(P3, limit=3, guard=g),
+            lambda g: enumerate_units(P3, guard=g),
+            lambda g: enumerate_idempotents(P3, strategy="brute", guard=g),
+            lambda g: chi_classes(P3, guard=g),
+            lambda g: run_verification(1, guard=g),
+        ],
+    )
+    def test_guard_below_one_is_an_input_error(self, call, guard):
+        with pytest.raises(ValueError, match="guard must be positive"):
+            call(guard)
 
 
 @pytest.fixture

@@ -1,0 +1,97 @@
+"""The cross-validation harness: case counts, per-law timing, failure text."""
+
+import pytest
+
+from partmaps import verification
+from partmaps.core import CharacterMap
+from partmaps.verification import run_verification
+
+CASES_AT_3 = {
+    "cardinality-formulas-vs-enumeration": 40,
+    "brute-vs-constructive-enumeration": 32,
+    "containments-and-idempotent-intersection": 24,
+    "sigma-four-way-equivalence": 108,
+    "character-homomorphism(n<=3)": 2166,
+    "units-criterion-and-block-images": 151,
+    "sigma-idempotent-blockwise": 83,
+    "t-idempotent-character": 120,
+    "chi-quotient-classes": 50,
+    "full-cycle-divisibility": 3,
+    "full-cycle-units-uniform": 14,
+}
+
+
+def _is_target(f, p):
+    """The map 2,2,0 on a partition with two blocks."""
+    return f.images == (2, 2, 0) and p.m == 2
+
+
+def _by_name(results):
+    return {r.name: r for r in results}
+
+
+def test_case_counts_and_passes_are_pinned():
+    results = run_verification(3)
+    assert {r.name: r.cases for r in results} == CASES_AT_3
+    assert all(r.passed for r in results)
+
+
+def test_wrong_character_fails_the_homomorphism_with_its_pairs(monkeypatch):
+    real = verification.character
+
+    def wrong(f, p):
+        return CharacterMap((0, 0)) if _is_target(f, p) else real(f, p)
+
+    monkeypatch.setattr(verification, "character", wrong)
+    law = _by_name(run_verification(3))["character-homomorphism(n<=3)"]
+    assert not law.passed
+    assert law.cases == 2166
+    assert law.detail == (
+        "2166 cases, 15 failures: "
+        "0,0,0;2,2,0 at 0,1|2; 0,0,1;2,2,0 at 0,1|2; 0,1,0;2,2,0 at 0,1|2"
+    )
+
+
+def test_wrong_topology_fails_the_four_way_equivalence(monkeypatch):
+    real = verification.sigma_via_topology
+
+    def negated(f, p):
+        return real(f, p) != _is_target(f, p)
+
+    monkeypatch.setattr(verification, "sigma_via_topology", negated)
+    law = _by_name(run_verification(3))["sigma-four-way-equivalence"]
+    assert not law.passed
+    assert law.detail == "108 cases, 2 failures: 2,2,0 at 0,1|2; 2,2,0 at 0,2|1"
+
+
+def test_failure_text_is_built_only_for_stored_failures():
+    tally = verification._Tally("law")
+    built = []
+
+    def describe(text):
+        def build():
+            built.append(text)
+            return text
+
+        return build
+
+    for i in range(5):
+        tally.check(i % 2 == 0, describe(f"even {i}"))
+    for i in range(5):
+        tally.check(False, describe(f"fail {i}"))
+    assert built == ["even 1", "even 3", "fail 0"]
+    result = tally.result()
+    assert (result.cases, result.passed) == (10, False)
+    assert result.detail == "10 cases, 7 failures: even 1; even 3; fail 0"
+
+
+def test_each_law_and_the_census_are_timed():
+    results = run_verification(3)
+    assert all(r.seconds > 0 for r in results)
+    assert results.census_seconds > 0
+
+
+@pytest.mark.parametrize("guard", [0, -1])
+def test_guard_below_one_is_rejected(guard):
+    with pytest.raises(ValueError, match="guard must be positive"):
+        run_verification(1, guard=guard)
