@@ -8,6 +8,14 @@ points inside a block ascending.
 
 Composition is left to right everywhere in this package: x(fg) = (xf)g,
 so ``compose(f, g)`` applies f first.
+
+The public constructors and parsers validate their input in full: every
+point must be an ``int`` (``bool`` is rejected) in range.  Tables and blocks
+that are valid by construction (composites, inverses, enumerated maps and
+partitions) skip that work through two private builders,
+``_trusted_transformation`` and ``_trusted_partition``, which produce
+instances of exactly these classes, so equality, order and hashing are the
+same whichever way an object was made.
 """
 
 from __future__ import annotations
@@ -62,6 +70,8 @@ class Transformation:
         if n == 0:
             raise ValueError("transformation needs a nonempty ground set")
         for x, y in enumerate(images):
+            if type(y) is not int:
+                raise ValueError(f"image {y!r} of point {x} is not an int")
             if not 0 <= y < n:
                 raise ValueError(f"image {y} of point {x} out of range for n={n}")
 
@@ -92,7 +102,7 @@ class Transformation:
         inv = [0] * self.n
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Transformation(tuple(inv))
+        return _trusted_transformation(tuple(inv))
 
     def image_set(self) -> frozenset[int]:
         return frozenset(self.images)
@@ -110,13 +120,14 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = sorted(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        blocks = [tuple(b) for b in self.blocks]
         seen = set()
-        for b in self.blocks:
+        for b in blocks:
             if not b:
                 raise ValueError("empty block")
             for x in b:
+                if type(x) is not int:
+                    raise ValueError(f"point {x!r} is not an int")
                 if x in seen:
                     raise ValueError(f"duplicate point {x}")
                 seen.add(x)
@@ -124,6 +135,7 @@ class SetPartition:
         for x in range(n):
             if x not in seen:
                 raise ValueError(f"points must be exactly 0..{n - 1}: missing {x}")
+        object.__setattr__(self, "blocks", tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
     @property
     def n(self) -> int:
@@ -321,11 +333,38 @@ class BlockMapFamily:
         return Transformation(tuple(images))
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _trusted_transformation(images: tuple[int, ...]) -> Transformation:
+    """A ``Transformation`` around a table known to be a nonempty in-range tuple of ints.
+
+    Skips validation; callers vouch for the table.
+    """
+    f = _new(Transformation)
+    _set(f, "images", images)
+    return f
+
+
+def _trusted_partition(
+    blocks: tuple[tuple[int, ...], ...], block_index: tuple[int, ...]
+) -> SetPartition:
+    """A ``SetPartition`` around canonical blocks and their point -> block table.
+
+    Skips validation and canonicalization; callers vouch for both.
+    """
+    p = _new(SetPartition)
+    _set(p, "blocks", blocks)
+    _set(p, "block_index", block_index)
+    return p
+
+
 def compose(f: Transformation, g: Transformation) -> Transformation:
     """Left-to-right composition: x(fg) = (xf)g."""
     if f.n != g.n:
         raise ValueError(f"ground sets differ: {f.n} != {g.n}")
-    return Transformation(tuple(g.images[y] for y in f.images))
+    return _trusted_transformation(tuple(g.images[y] for y in f.images))
 
 
 def profile_of(p: SetPartition) -> PartitionProfile:
@@ -422,7 +461,9 @@ def iter_partitions(n: int, block_count: int | None = None) -> Iterator[SetParti
 
 
 def _partition_from_labels(labels: list[int], used: int) -> SetPartition:
+    # a restricted-growth string lists its blocks by minimum, points ascending,
+    # so the blocks are canonical and the labels are the block index
     blocks: list[list[int]] = [[] for _ in range(used)]
     for x, lab in enumerate(labels):
         blocks[lab].append(x)
-    return SetPartition(tuple(tuple(b) for b in blocks))
+    return _trusted_partition(tuple(map(tuple, blocks)), tuple(labels))

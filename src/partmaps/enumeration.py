@@ -12,6 +12,10 @@ compared element by element.  Two strategies exist throughout:
   point may take given the images before it.  It streams, so the first k
   members cost O(k * n) steps.
 
+Both strategies produce only valid in-range tables, so they build their
+maps without the validation that the public ``Transformation`` constructor
+runs on untrusted input.
+
 A work guard protects against accidentally enormous enumerations; it
 bounds the number of candidate maps a call may visit, and it is checked
 when the call is made.  It counts all n**n tables for ``brute``, the exact
@@ -32,6 +36,7 @@ from .core import (
     CharacterMap,
     SetPartition,
     Transformation,
+    _trusted_transformation,
     check_guard,
     profile_of,
 )
@@ -92,7 +97,7 @@ def _brute_preserving(p: SetPartition) -> Iterator[Transformation]:
             if not ok:
                 break
         if ok:
-            yield Transformation(images)
+            yield _trusted_transformation(images)
 
 
 def _options(p: SetPartition, set_name: str):
@@ -144,6 +149,7 @@ def _options(p: SetPartition, set_name: str):
 
 def _assemble(p: SetPartition, options) -> Iterator[Transformation]:
     """Depth-first, point by point, in lexicographic order of image tables."""
+    build = _trusted_transformation  # every table a rule admits is in range
     last = p.n - 1
     images = [0] * p.n
     pending: list[Iterator[int]] = []  # pending[x]: images of x not yet tried
@@ -152,7 +158,7 @@ def _assemble(p: SetPartition, options) -> Iterator[Transformation]:
         if x == last:
             head = tuple(images[:last])
             for v in options(last, images):
-                yield Transformation(head + (v,))
+                yield build(head + (v,))
             x -= 1
             continue
         if x == len(pending):

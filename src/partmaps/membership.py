@@ -21,7 +21,6 @@ from .core import (
     CharacterMap,
     SetPartition,
     Transformation,
-    compose,
 )
 
 
@@ -34,7 +33,7 @@ class NotInSigmaError(ValueError):
 
 
 def _require_same_n(f: Transformation, p: SetPartition) -> None:
-    if f.n != p.n:
+    if len(f.images) != len(p.block_index):
         raise ValueError(f"ground sets differ: map on {f.n} points, partition of {p.n}")
 
 
@@ -163,8 +162,13 @@ def in_units(f: Transformation, p: SetPartition) -> bool:
 
 
 def is_idempotent(f: Transformation) -> bool:
-    """True when f composed with itself equals f."""
-    return compose(f, f) == f
+    """True when f composed with itself equals f.
+
+    That holds exactly when every image is a fixed point, which is checked
+    on the image table without building the composite.
+    """
+    img = f.images
+    return all(img[y] == y for y in img)
 
 
 def sigma_idempotent_via_blocks(f: Transformation, p: SetPartition) -> bool:

@@ -85,6 +85,13 @@ def test_transformation_round_trip(f):
     assert parse_transformation(format_transformation(f), f.n) == f
 
 
+@given(transformations(n=5), transformations(n=5))
+def test_accepted_maps_print_as_parseable_text(f, g):
+    # composites take the unvalidated path, so their text must parse back too
+    for h in (f, compose(f, g)):
+        assert parse_transformation(str(h), h.n) == h
+
+
 class TestCompose:
     def test_involution_squares_to_identity(self):
         f = Transformation((1, 0, 2))
@@ -160,6 +167,18 @@ class TestTransformationType:
         with pytest.raises(ValueError):
             Transformation(())
 
+    @pytest.mark.parametrize("images", [(0.0,), (True, 0), (0, 1.0), ("0",)])
+    def test_rejects_points_that_are_not_ints(self, images):
+        with pytest.raises(ValueError, match="is not an int"):
+            Transformation(images)
+
+    def test_composite_and_inverse_equal_the_validated_map(self):
+        f = Transformation((2, 0, 1))
+        for h, images in ((compose(f, f), (1, 2, 0)), (f.inverse(), (1, 2, 0))):
+            rebuilt = Transformation(images)
+            assert type(h) is Transformation
+            assert h == rebuilt and hash(h) == hash(rebuilt) and str(h) == str(rebuilt)
+
     def test_identity_and_inverse(self):
         f = Transformation((2, 0, 1))
         assert compose(f, f.inverse()) == Transformation.identity(3)
@@ -193,6 +212,13 @@ class TestSetPartitionType:
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError, match="empty block"):
             SetPartition(((0, 1), ()))
+
+    @pytest.mark.parametrize(
+        "blocks", [((0,), (1.0,)), ((0, True),), ((False,), (1,)), ((0,), ("1",))]
+    )
+    def test_rejects_points_that_are_not_ints(self, blocks):
+        with pytest.raises(ValueError, match="is not an int"):
+            SetPartition(blocks)
 
     def test_block_index(self):
         p = SetPartition(((0, 2), (1,)))
@@ -266,6 +292,14 @@ class TestIterPartitions:
 
     def test_out_of_range_block_count(self):
         assert list(iter_partitions(3, block_count=4)) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_items_equal_the_validated_partition(self, n):
+        for p in iter_partitions(n):
+            rebuilt = SetPartition(p.blocks)
+            assert type(p) is SetPartition
+            assert p == rebuilt and hash(p) == hash(rebuilt)
+            assert p.block_index == rebuilt.block_index
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from partmaps import core, enumeration
 from partmaps.core import (
     GuardExceededError,
     SetPartition,
@@ -114,6 +115,35 @@ class TestStrategyAgreement:
             )
 
 
+def _every_set(p, strategy):
+    yield from iter_t(p, strategy)
+    yield from iter_sigma(p, strategy)
+    yield from iter_units(p, strategy)
+    yield from iter_idempotents(p, "t", strategy)
+    yield from iter_idempotents(p, "sigma", strategy)
+
+
+class TestTrustedConstruction:
+    """Generated maps skip validation but equal the validated map in every way."""
+
+    @staticmethod
+    def check(maps):
+        for f in maps:
+            rebuilt = Transformation(f.images)
+            assert type(f) is Transformation
+            assert f == rebuilt and hash(f) == hash(rebuilt) and str(f) == str(rebuilt)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_set_on_every_partition(self, n):
+        strategies = ("constructive", "brute") if n <= 4 else ("constructive",)
+        for p in iter_partitions(n):
+            for strategy in strategies:
+                self.check(_every_set(p, strategy))
+
+    def test_every_set_on_the_six_point_block(self):
+        self.check(_every_set(SetPartition((tuple(range(6)),)), "constructive"))
+
+
 class TestOrderingAndLimits:
     @given(partitions(max_n=5))
     @settings(max_examples=40)
@@ -216,15 +246,26 @@ class TestGuards:
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts the transformations constructed while a test runs."""
+    """Counts the transformations constructed while a test runs.
+
+    Both routes count: the validating constructor and the trusted builder
+    that the generators use.
+    """
     count = [0]
     init = Transformation.__init__
+    trusted = core._trusted_transformation
 
     def counting_init(self, *args, **kwargs):
         count[0] += 1
         init(self, *args, **kwargs)
 
+    def counting_trusted(images):
+        count[0] += 1
+        return trusted(images)
+
     monkeypatch.setattr(Transformation, "__init__", counting_init)
+    for module in (core, enumeration):
+        monkeypatch.setattr(module, "_trusted_transformation", counting_trusted)
     return count
 
 
@@ -233,13 +274,13 @@ class TestLaziness:
         p = SetPartition(tuple((i,) for i in range(8)))
         out = enumerate_units(p, limit=3)
         assert [f.images[5:] for f in out] == [(5, 6, 7), (5, 7, 6), (6, 5, 7)]
-        assert built[0] <= 4
+        assert 3 <= built[0] <= 4
 
     def test_sigma_idempotent_prefix_builds_only_the_prefix(self, built):
         p = SetPartition((tuple(range(5)), tuple(range(5, 10))))
         out = enumerate_idempotents(p, limit=3)
         assert len(out) == 3 and out.truncated
-        assert built[0] <= 4
+        assert 3 <= built[0] <= 4
 
 
 class TestAlgebraicStructure:
@@ -315,7 +356,7 @@ class TestChiClasses:
 
 
 class TestAgainstBruteCensus:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_sequences_match_raw_filtering(self, n):
         for blocks in oracles.all_partitions(n):
             p = SetPartition(blocks)
