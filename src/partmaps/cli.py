@@ -36,20 +36,9 @@ from .core import (
     parse_transformation,
     profile_of,
 )
-from .counting import (
-    count_sigma_grouped,
-    count_sigma_idempotents,
-    count_t,
-    count_units,
-)
+from .counting import count_sigma_grouped
 from .cycles import find_preserved_partition, preserved_m_partition_exists
-from .enumeration import (
-    chi_classes,
-    enumerate_idempotents,
-    enumerate_sigma,
-    enumerate_t,
-    enumerate_units,
-)
+from .enumeration import _collect, _member_count, chi_classes
 from .membership import (
     character,
     in_sigma,
@@ -75,32 +64,6 @@ PREDICATES = (
 )
 
 SETS = ("T", "Sigma", "S", "E-Sigma", "E-T")
-
-
-def _infer_n_from_map(text: str) -> int:
-    return text.count(",") + 1
-
-
-def _infer_n_from_partition(text: str) -> int:
-    points = []
-    for chunk in text.split("|"):
-        for tok in chunk.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                points.append(int(tok))
-            except ValueError:
-                raise ParseError(f"invalid point {tok!r}") from None
-    if not points:
-        raise ParseError("empty partition text")
-    return max(points) + 1
-
-
-def _load_partition(text: str, n: int | None = None) -> SetPartition:
-    if n is None:
-        n = _infer_n_from_partition(text)
-    return parse_partition(text, n)
 
 
 def _emit_json(payload: dict) -> None:
@@ -132,37 +95,29 @@ def _false_reason(name: str, f: Transformation, p: SetPartition | None) -> str:
     if name == "idempotent":
         return "map differs from its own square"
     assert p is not None
+    idx = p.block_index
     if not preserves(f, p):
-        idx = p.block_index
         for i, block in enumerate(p.blocks):
             hit = {idx[f.images[x]] for x in block}
             if len(hit) > 1:
                 return f"block {i} splits across blocks {sorted(hit)}"
-    if name in ("sigma", "sigma-character", "sigma-topology", "estar"):
-        idx = p.block_index
-        hit = {idx[y] for y in f.images}
-        missed = [j for j in range(p.m) if j not in hit]
-        if missed:
-            return f"image misses block {missed[0]}"
-        return "character map is not injective"
+    # f preserves p from here on, and on a finite set each false case has one cause
     if name == "units":
-        if not f.is_bijection():
-            return "map is not a bijection"
-        return "a block restriction is not onto its codomain block"
+        return "map is not a bijection"  # a preserving bijection is a unit
     if name == "sigma-idempotent":
         return "a block restriction is not an idempotent selfmap"
-    return ""
+    # sigma, sigma-character, sigma-topology, estar: a character onto the
+    # blocks is a bijection, so the only way out of Sigma is a missed block
+    hit = {idx[y] for y in f.images}
+    missed = next(j for j in range(p.m) if j not in hit)
+    return f"image misses block {missed}"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    f = parse_transformation(args.map, _infer_n_from_map(args.map))
-    p = None
-    if args.predicate != "idempotent":
-        if args.partition is None:
-            raise ParseError(f"predicate {args.predicate!r} needs a partition (-p)")
-        p = _load_partition(args.partition, f.n)
-    elif args.partition is not None:
-        p = _load_partition(args.partition, f.n)
+    f = parse_transformation(args.map)
+    if args.partition is None and args.predicate != "idempotent":
+        raise ParseError(f"predicate {args.predicate!r} needs a partition (-p)")
+    p = None if args.partition is None else parse_partition(args.partition, f.n)
     result = _apply_predicate(args.predicate, f, p)
     if args.format == "json":
         payload = {
@@ -205,17 +160,10 @@ def cmd_count(args: argparse.Namespace) -> int:
     if (args.partition is None) == (args.profile is None):
         raise ParseError("give exactly one of -p/--partition and --profile")
     if args.partition is not None:
-        profile = profile_of(_load_partition(args.partition))
+        profile = profile_of(parse_partition(args.partition))
     else:
         profile = _parse_profile(args.profile)
-    if args.set == "T":
-        value = count_t(profile)
-    elif args.set == "Sigma":
-        value = count_sigma_grouped(profile, guard=args.guard)
-    elif args.set == "S":
-        value = count_units(profile)
-    else:  # E-Sigma; E-T has no formula and is rejected by the parser
-        value = count_sigma_idempotents(profile)
+    _, value = _member_count(profile, args.set, args.guard)  # E-T is rejected by the parser
     if args.format == "json":
         _emit_json(
             {
@@ -232,20 +180,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _enumerate(p: SetPartition, set_name: str, strategy: str, limit: int | None, guard: int):
-    if set_name == "T":
-        return enumerate_t(p, strategy, limit, guard)
-    if set_name == "Sigma":
-        return enumerate_sigma(p, strategy, limit, guard)
-    if set_name == "S":
-        return enumerate_units(p, strategy, limit, guard)
-    ambient = "sigma" if set_name == "E-Sigma" else "t"
-    return enumerate_idempotents(p, ambient, strategy, limit, guard)
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    p = _load_partition(args.partition)
-    result = _enumerate(p, args.set, args.strategy, args.limit, args.guard)
+    p = parse_partition(args.partition)
+    result = _collect(p, args.set, args.strategy, args.limit, args.guard)
     maps, truncated = result.maps, result.truncated
     if args.format == "json":
         _emit_json(
@@ -270,7 +207,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    p = _load_partition(args.partition)
+    p = parse_partition(args.partition)
     classes = chi_classes(p, guard=args.guard)
     expected = factorial(p.m)
     total = sum(cls.size for cls in classes)
@@ -311,8 +248,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_character(args: argparse.Namespace) -> int:
-    f = parse_transformation(args.map, _infer_n_from_map(args.map))
-    p = _load_partition(args.partition, f.n)
+    f = parse_transformation(args.map)
+    p = parse_partition(args.partition, f.n)
     chi = character(f, p)
     if args.format == "json":
         _emit_json(
@@ -333,7 +270,7 @@ def cmd_character(args: argparse.Namespace) -> int:
 
 
 def cmd_find_partition(args: argparse.Namespace) -> int:
-    f = parse_transformation(args.map, _infer_n_from_map(args.map))
+    f = parse_transformation(args.map)
     if args.m is not None:
         _, witness = preserved_m_partition_exists(f, args.m)
     else:

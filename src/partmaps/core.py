@@ -373,11 +373,16 @@ def profile_of(p: SetPartition) -> PartitionProfile:
     return PartitionProfile(tuple(sorted(counts.items())))
 
 
-def parse_transformation(text: str, n: int) -> Transformation:
-    """Parse "1,0,2" into a transformation on n points."""
+def parse_transformation(text: str, n: int | None = None) -> Transformation:
+    """Parse "1,0,2" into a transformation on n points.
+
+    With ``n=None`` the ground set has one point per image given.
+    """
+    tokens = [t.strip() for t in text.split(",")]
+    if n is None:
+        n = len(tokens)
     if n < 1:
         raise ParseError("ground-set size must be positive")
-    tokens = [t.strip() for t in text.split(",")]
     if len(tokens) != n:
         raise ParseError(f"expected {n} images, got {len(tokens)}")
     images = []
@@ -392,12 +397,12 @@ def parse_transformation(text: str, n: int) -> Transformation:
     return Transformation(tuple(images))
 
 
-def parse_partition(text: str, n: int) -> SetPartition:
-    """Parse "0,1|2" into a canonical set partition of n points."""
-    if n < 1:
-        raise ParseError("ground-set size must be positive")
+def parse_partition(text: str, n: int | None = None) -> SetPartition:
+    """Parse "0,1|2" into a canonical set partition of n points.
+
+    With ``n=None`` the ground set runs up to the largest point given.
+    """
     blocks: list[list[int]] = []
-    seen: set[int] = set()
     for chunk in text.split("|"):
         if not chunk.strip():
             raise ParseError("empty block in partition text")
@@ -405,16 +410,22 @@ def parse_partition(text: str, n: int) -> SetPartition:
         for tok in chunk.split(","):
             tok = tok.strip()
             try:
-                x = int(tok)
+                block.append(int(tok))
             except ValueError:
                 raise ParseError(f"invalid point {tok!r}") from None
+        blocks.append(block)
+    if n is None:
+        n = max(max(block) for block in blocks) + 1
+    if n < 1:
+        raise ParseError("ground-set size must be positive")
+    seen: set[int] = set()
+    for block in blocks:
+        for x in block:
             if not 0 <= x < n:
                 raise ParseError(f"point {x} out of range for n={n}")
             if x in seen:
                 raise ParseError(f"duplicate point {x}")
             seen.add(x)
-            block.append(x)
-        blocks.append(block)
     if len(seen) != n:
         missing = next(x for x in range(n) if x not in seen)
         raise ParseError(f"missing point {missing}")

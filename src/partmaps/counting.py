@@ -2,15 +2,15 @@
 
 All results are plain Python integers, so counts stay exact at any size.
 The two Sigma counts are deliberately separate implementations: the direct
-form sums over all block permutations one by one, the grouped form sums
-over multiset arrangements of the block sizes.  Keeping the direct form
-naive lets the two validate each other.
+form sums over all block permutations one by one, the grouped form is a
+dynamic programme over how many codomain blocks of each size class are
+still free.  Keeping the direct form naive lets the two validate each
+other.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from typing import Iterator
 
 from .core import DEFAULT_GUARD, PartitionProfile, SetPartition, check_guard
 
@@ -63,29 +63,28 @@ def count_sigma_direct(p: SetPartition, guard: int = DEFAULT_GUARD) -> int:
 
 
 def count_sigma_grouped(profile: PartitionProfile, guard: int = DEFAULT_GUARD) -> int:
-    """Sigma count grouped by which size class each domain block lands in.
+    """Sigma count by placing the domain blocks one at a time.
 
-    Distribute the multiset of block sizes into k ordered groups, group i
-    holding m_i of them; a distribution with group sums s_1, ..., s_k
-    contributes ``n_1**s_1 * ... * n_k**s_k``.  The sum over all distinct
-    distributions, scaled by ``m_1! * ... * m_k!``, equals the direct
-    permutation sum.
+    A state records how many codomain blocks of each size class are still
+    free.  Sending a block of size s to one of the ``left[b]`` free blocks
+    of size n_b multiplies the weight by ``left[b] * n_b**s``; after every
+    block is placed one state is left, whose weight is the permutation sum.
+    Each of the ``prod(m_b + 1)`` states is visited once, and the guard
+    counts them (less the start state).
     """
     entries = profile.entries
-    m = profile.m
-    arrangements = factorial(m) // prod(factorial(mult) for _, mult in entries)
-    check_guard(arrangements, guard, "multiset arrangements")
-    values = [size for size, _ in entries]
-    counts = [mult for _, mult in entries]
-    total = 0
-    for seq in _multiset_permutations(values, counts):
-        term = 1
-        pos = 0
-        for size, mult in entries:
-            term *= size ** sum(seq[pos : pos + mult])
-            pos += mult
-        total += term
-    return prod(factorial(mult) for _, mult in entries) * total
+    check_guard(prod(mult + 1 for _, mult in entries) - 1, guard, "Sigma count states")
+    ways = {tuple(mult for _, mult in entries): 1}
+    for size_a in profile.block_sizes():
+        step: dict[tuple[int, ...], int] = {}
+        for left, w in ways.items():
+            for b, (size_b, _) in enumerate(entries):
+                if left[b]:
+                    key = left[:b] + (left[b] - 1,) + left[b + 1 :]
+                    step[key] = step.get(key, 0) + w * left[b] * size_b**size_a
+        ways = step
+    (total,) = ways.values()
+    return total
 
 
 def count_sigma_idempotents(profile: PartitionProfile) -> int:
@@ -95,23 +94,3 @@ def count_sigma_idempotents(profile: PartitionProfile) -> int:
     block, so the count is a product of per-block idempotent counts.
     """
     return prod(idempotent_count(size) ** mult for size, mult in profile.entries)
-
-
-def _multiset_permutations(values: list[int], counts: list[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct arrangements of the multiset, in lexicographic order."""
-    remaining = list(counts)
-    total = sum(remaining)
-    seq = [0] * total
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == total:
-            yield tuple(seq)
-            return
-        for v_idx, v in enumerate(values):
-            if remaining[v_idx]:
-                remaining[v_idx] -= 1
-                seq[i] = v
-                yield from rec(i + 1)
-                remaining[v_idx] += 1
-
-    yield from rec(0)

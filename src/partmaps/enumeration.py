@@ -34,6 +34,7 @@ from typing import Iterator
 from .core import (
     DEFAULT_GUARD,
     CharacterMap,
+    PartitionProfile,
     SetPartition,
     Transformation,
     _trusted_transformation,
@@ -194,14 +195,13 @@ def _members(
             return (f for f in _brute_preserving(p) if in_units(f, p))
         return _brute_preserving(p)
     if limit is None or limit >= guard:  # otherwise min(count, limit + 1) <= guard
-        what, required = _member_count(p, set_name, guard)
+        what, required = _member_count(profile_of(p), set_name, guard)
         check_guard(required if limit is None else min(required, limit + 1), guard, what)
     return _assemble(p, _options(p, set_name))
 
 
-def _member_count(p: SetPartition, set_name: str, guard: int) -> tuple[str, int]:
+def _member_count(profile: PartitionProfile, set_name: str, guard: int) -> tuple[str, int]:
     """What the guard of a constructive route counts, and how many there are."""
-    profile = profile_of(p)
     if set_name == "T":
         return "preserving maps", count_t(profile)
     if set_name == "Sigma":

@@ -5,6 +5,7 @@ deliberately shares no code with the package under test.
 """
 
 import itertools
+from math import comb, factorial
 
 
 def lookup(blocks, n):
@@ -91,3 +92,17 @@ def all_partitions(n):
 
     for part in rec(n):
         yield tuple(sorted(tuple(sorted(b)) for b in part))
+
+
+def two_class_sigma(a, p, b, q):
+    """|Sigma| for p blocks of size a and q of size b, summed over the number
+    j of size-a blocks sent into size-b blocks (as many go the other way)."""
+    return (
+        factorial(p)
+        * factorial(q)
+        * sum(
+            comb(p, j) * comb(q, j)
+            * a ** (a * (p - j)) * b ** (a * j) * a ** (b * j) * b ** (b * (q - j))
+            for j in range(min(p, q) + 1)
+        )
+    )

@@ -1,11 +1,15 @@
 import csv
 import io
+import itertools
 import json
+import re
 
 import pytest
 
-from partmaps.cli import main
-from partmaps.core import parse_partition, parse_transformation
+import oracles
+from partmaps.cli import PREDICATES, main
+from partmaps.core import iter_partitions, parse_partition, parse_transformation
+from partmaps.membership import in_sigma
 
 
 def run(capsys, *argv):
@@ -82,6 +86,29 @@ class TestCheck:
         assert payload["result"] is False
         assert "misses block 1" in payload["reason"]
 
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    def test_json_reason_of_every_false_case(self, capsys, predicate):
+        split = r"block \d+ splits across blocks \[[\d, ]+\]"
+        allowed = {
+            "preserves": split,
+            "idempotent": "map differs from its own square",
+            "units": f"{split}|map is not a bijection",
+            "sigma-idempotent": "a block restriction is not an idempotent selfmap",
+        }.get(predicate, rf"{split}|image misses block \d+")
+        false_cases = 0
+        for n in (1, 2, 3):
+            for p in iter_partitions(n):
+                for images in itertools.product(range(n), repeat=n):
+                    f = ",".join(map(str, images))
+                    argv = ["check", "-p", str(p), "-f", f, "--predicate", predicate]
+                    code, out, _ = run(capsys, *argv, "--format", "json")
+                    if predicate == "sigma-idempotent" and not in_sigma(parse_transformation(f), p):
+                        assert (code, out) == (2, "")
+                    elif code == 1:
+                        false_cases += 1
+                        assert re.fullmatch(allowed, json.loads(out)["reason"])
+        assert false_cases > 0
+
     def test_csv_output(self, capsys):
         _, out, _ = run(
             capsys, "check", "-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma", "--format", "csv"
@@ -125,6 +152,16 @@ class TestCount:
     def test_large_profile_stays_exact(self, capsys):
         code, out, _ = run(capsys, "count", "--profile", "3:4", "--set", "T")
         assert (code, out) == (0, f"{(4 * 3**3) ** 4}\n")
+
+    def test_sigma_with_many_blocks_in_two_size_classes(self, capsys):
+        code, out, _ = run(capsys, "count", "--profile", "2:30,3:30", "--set", "Sigma")
+        assert (code, out) == (0, f"{oracles.two_class_sigma(2, 30, 3, 30)}\n")
+
+    def test_sigma_guard_counts_states(self, capsys):
+        # 1:5 has 6 states less the start state, beyond a guard of 3
+        code, out, err = run(capsys, "count", "--profile", "1:5", "--set", "Sigma", "--guard", "3")
+        assert (code, out) == (3, "")
+        assert "Sigma count states needs 5 items" in err
 
     def test_json_uses_decimal_strings(self, capsys):
         _, out, _ = run(capsys, "count", "-p", "0,1|2", "--set", "T", "--format", "json")
@@ -216,6 +253,12 @@ class TestQuotient:
         assert payload["consistent"] is True
         assert payload["class_count"] == payload["expected_class_count"] == 2
         assert [c["size"] for c in payload["classes"]] == ["16", "16"]
+
+    def test_sigma_count_guard(self, capsys):
+        # two classes fit a guard of 2; the Sigma count's 3 states do not
+        code, out, err = run(capsys, "quotient", "-p", "0|1,2", "--guard", "2")
+        assert (code, out) == (3, "")
+        assert "Sigma count states" in err
 
     def test_csv(self, capsys):
         _, out, _ = run(capsys, "quotient", "-p", "0|1|2", "--format", "csv")

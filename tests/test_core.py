@@ -54,6 +54,22 @@ class TestParsePartition:
     def test_whitespace_tolerated(self):
         assert parse_partition(" 0 , 1 | 2 ", 3).blocks == ((0, 1), (2,))
 
+    def test_ground_set_inferred_from_largest_point(self):
+        p = parse_partition("3|1,0|2")
+        assert (p.n, p.blocks) == (4, ((0, 1), (2,), (3,)))
+
+    def test_inferred_ground_set_missing_point(self):
+        with pytest.raises(ParseError, match="missing point 1"):
+            parse_partition("0,2|3")
+
+    def test_inferred_ground_set_keeps_token_errors(self):
+        with pytest.raises(ParseError, match="invalid point 'x'"):
+            parse_partition("0,x|2")
+        with pytest.raises(ParseError, match="empty block"):
+            parse_partition("0||1")
+        with pytest.raises(ParseError, match="point -1 out of range"):
+            parse_partition("0|-1")
+
 
 class TestParseTransformation:
     def test_swap(self):
@@ -73,6 +89,11 @@ class TestParseTransformation:
     def test_bad_token(self):
         with pytest.raises(ParseError, match="invalid image"):
             parse_transformation("0,a,1", 3)
+
+    def test_ground_set_inferred_from_token_count(self):
+        assert parse_transformation("2, 2,0").images == (2, 2, 0)
+        with pytest.raises(ParseError, match="image 3 out of range for n=3"):
+            parse_transformation("0,3,1")
 
 
 @given(partitions())

@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -95,7 +95,7 @@ class TestCountSigma:
 
     def test_grouped_guard(self):
         prof = profile((1, 5), (2, 5))
-        with pytest.raises(GuardExceededError, match="multiset arrangements"):
+        with pytest.raises(GuardExceededError, match="Sigma count states"):
             count_sigma_grouped(prof, guard=10)
 
 
@@ -130,6 +130,48 @@ class TestGroupedMatchesDirect:
     def test_all_partitions_to_n8(self, n):
         for p in iter_partitions(n):
             assert count_sigma_grouped(profile_of(p)) == count_sigma_direct(p)
+
+
+def integer_partitions(n, largest=None):
+    """The block-size multisets of n, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in integer_partitions(n - part, part):
+            yield (part,) + rest
+
+
+class TestGroupedClosedForms:
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    @pytest.mark.parametrize("mult", [1, 2, 5, 17, 60])
+    def test_uniform_profile(self, size, mult):
+        assert count_sigma_grouped(profile((size, mult))) == factorial(mult) * size ** (size * mult)
+
+    def test_two_size_classes(self):
+        for b in range(2, 6):
+            for a in range(1, b):
+                for p in range(1, 7):
+                    for q in range(1, 7):
+                        prof = profile((a, p), (b, q))
+                        assert count_sigma_grouped(prof) == oracles.two_class_sigma(a, p, b, q)
+
+    def test_two_size_classes_with_many_blocks(self):
+        prof = profile((2, 30), (3, 30))
+        assert count_sigma_grouped(prof) == oracles.two_class_sigma(2, 30, 3, 30)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_state_guard_never_exceeds_the_count(self, n):
+        # so the Sigma enumeration guard, which counts members, trips first
+        for sizes in integer_partitions(n):
+            prof = PartitionProfile(tuple((s, sizes.count(s)) for s in set(sizes)))
+            states = prod(mult + 1 for _, mult in prof.entries) - 1
+            assert states <= count_sigma_grouped(prof, guard=states)
+
+    def test_guard_counts_states_less_the_start(self):
+        with pytest.raises(GuardExceededError) as exc:
+            count_sigma_grouped(profile((1, 5), (2, 5)), guard=34)
+        assert exc.value.required == 6 * 6 - 1
 
 
 class TestStructuralProperties:
