@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from math import factorial
@@ -238,8 +239,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         rows += [[str(cls.character), str(cls.size)] for cls in classes]
         _emit_csv(rows)
     else:
-        for cls in classes:
-            print(f"{cls.character} {cls.size}")
+        print("\n".join(f"{cls.character} {cls.size}" for cls in classes))
         print(
             f"# classes: {len(classes)} (expected {expected}), total: {total}, "
             f"sigma: {sigma_count}, consistent: {str(consistent).lower()}"
@@ -335,7 +335,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call.
+
+    Parsing keeps no state in the parser: each call gets a fresh namespace,
+    and help and usage errors go to the ``sys.stdout`` and ``sys.stderr`` of
+    that call.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("lines", "json", "csv"), default="lines", help="output format"
@@ -403,8 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         # reject a bad guard even where the subcommand never consults it
         check_guard(0, args.guard, "nothing")

@@ -12,10 +12,12 @@ so ``compose(f, g)`` applies f first.
 The public constructors and parsers validate their input in full: every
 point must be an ``int`` (``bool`` is rejected) in range.  Tables and blocks
 that are valid by construction (composites, inverses, enumerated maps and
-partitions) skip that work through two private builders,
-``_trusted_transformation`` and ``_trusted_partition``, which produce
-instances of exactly these classes, so equality, order and hashing are the
-same whichever way an object was made.
+partitions, the character classes of Sigma, and text the parsers have
+already checked point by point) skip that work through three private
+builders, ``_trusted_transformation``, ``_trusted_partition`` and
+``_trusted_character``, which produce instances of exactly these classes,
+so equality, order and hashing are the same whichever way an object was
+made.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ class CharacterMap:
         return Transformation(self.images)
 
     def __str__(self) -> str:
-        return ",".join(str(j) for j in self.images)
+        return ",".join(map(str, self.images))
 
 
 @dataclass(frozen=True)
@@ -360,6 +362,16 @@ def _trusted_partition(
     return p
 
 
+def _trusted_character(images: tuple[int, ...]) -> CharacterMap:
+    """A ``CharacterMap`` around a table known to be a nonempty in-range tuple.
+
+    Skips validation; callers vouch for the table.
+    """
+    c = _new(CharacterMap)
+    _set(c, "images", images)
+    return c
+
+
 def compose(f: Transformation, g: Transformation) -> Transformation:
     """Left-to-right composition: x(fg) = (xf)g."""
     if f.n != g.n:
@@ -394,7 +406,7 @@ def parse_transformation(text: str, n: int | None = None) -> Transformation:
         if not 0 <= y < n:
             raise ParseError(f"image {y} out of range for n={n}")
         images.append(y)
-    return Transformation(tuple(images))
+    return _trusted_transformation(tuple(images))
 
 
 def parse_partition(text: str, n: int | None = None) -> SetPartition:
@@ -429,11 +441,17 @@ def parse_partition(text: str, n: int | None = None) -> SetPartition:
     if len(seen) != n:
         missing = next(x for x in range(n) if x not in seen)
         raise ParseError(f"missing point {missing}")
-    return SetPartition(tuple(tuple(b) for b in blocks))
+    # disjoint nonempty blocks sort by their minima once each block is sorted
+    canonical = sorted(tuple(sorted(block)) for block in blocks)
+    index = [0] * n
+    for i, block in enumerate(canonical):
+        for x in block:
+            index[x] = i
+    return _trusted_partition(tuple(canonical), tuple(index))
 
 
 def format_transformation(f: Transformation) -> str:
-    return ",".join(str(y) for y in f.images)
+    return ",".join(map(str, f.images))
 
 
 def format_partition(p: SetPartition) -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 from typing import Iterator
 
 from .core import (
@@ -37,6 +37,7 @@ from .core import (
     PartitionProfile,
     SetPartition,
     Transformation,
+    _trusted_character,
     _trusted_transformation,
     check_guard,
     profile_of,
@@ -310,19 +311,18 @@ def chi_classes(p: SetPartition, guard: int = DEFAULT_GUARD) -> list[ChiClass]:
     size ``prod(|X_phi(i)| ** |X_i|)``.  Classes come in lexicographic
     order of their characters; the representative is the least member,
     sending each block constantly to the minimum of its codomain block.
+    Both the character and the representative are valid by construction,
+    so they are built without validation, and the guard counts the m!
+    classes.
     """
-    m = p.m
-    check_guard(factorial(m), guard, "character classes")
+    check_guard(factorial(p.m), guard, "character classes")
     sizes = p.sizes
+    minima = [b[0] for b in p.blocks]
+    index = p.block_index
     out: list[ChiClass] = []
-    for phi in itertools.permutations(range(m)):
-        size = 1
-        for i, j in enumerate(phi):
-            size *= sizes[j] ** sizes[i]
-        images = [0] * p.n
-        for i, j in enumerate(phi):
-            target = p.blocks[j][0]
-            for x in p.blocks[i]:
-                images[x] = target
-        out.append(ChiClass(CharacterMap(phi), size, Transformation(tuple(images))))
+    for phi in itertools.permutations(range(p.m)):
+        size = prod(map(pow, map(sizes.__getitem__, phi), sizes))
+        target = list(map(minima.__getitem__, phi))  # block i -> min of block phi(i)
+        images = tuple(map(target.__getitem__, index))
+        out.append(ChiClass(_trusted_character(phi), size, _trusted_transformation(images)))
     return out

@@ -7,6 +7,7 @@ import re
 import pytest
 
 import oracles
+from partmaps import cli
 from partmaps.cli import PREDICATES, main
 from partmaps.core import iter_partitions, parse_partition, parse_transformation
 from partmaps.membership import in_sigma
@@ -382,3 +383,49 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    # main() builds its parser once per process; no call may see another's state
+    SEQUENCE = (
+        ["check", "-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma", "--format", "json"],
+        ["enumerate", "-p", "0,1|2", "--set", "Sigma", "--limit", "2"],
+        ["count", "--profile", "1:6", "--set", "Sigma", "--guard", "5"],
+        ["count", "-p", "0|1", "--set", "Q"],
+        ["--help"],
+        ["enumerate", "-p", "0,1|2", "--set", "Sigma"],
+        ["check", "-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma", "--format", "json"],
+    )
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_shared_parser_answers_like_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        cli._build_parser.cache_clear()
+        shared = [self.call(capsys, argv) for argv in self.SEQUENCE]
+        assert cli._build_parser.cache_info().misses == 1
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 3, ("SystemExit", 2), ("SystemExit", 0), 0, 0]
+        assert "invalid choice: 'Q'" in shared[3][2]
+        assert shared[4][1].startswith("usage: partmaps")
+        assert shared[1][1].endswith("# total: 2 (truncated)\n")
+        assert shared[5][1].endswith("# total: 6\n")
+        assert shared[0][1] == shared[-1][1]
+
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "count", "--profile", "2:1", "--set", "T")[:2] == (0, "4\n")
+        assert cli._build_parser.cache_info().misses == 1
+        assert cli._build_parser.cache_info().hits == 2

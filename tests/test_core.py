@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -111,6 +112,41 @@ def test_accepted_maps_print_as_parseable_text(f, g):
     # composites take the unvalidated path, so their text must parse back too
     for h in (f, compose(f, g)):
         assert parse_transformation(str(h), h.n) == h
+
+
+
+def _shuffled_text(blocks, rng):
+    """Partition text with the blocks, and the points in each block, in random order."""
+    blocks = [rng.sample(b, len(b)) for b in blocks]
+    rng.shuffle(blocks)
+    return "|".join(",".join(map(str, b)) for b in blocks)
+
+
+class TestParsersMatchValidatedConstructors:
+    # the parsers build through the trusted builders; what they return must be
+    # indistinguishable from the validating constructors' objects
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_partition(self, n):
+        rng = random.Random(n)
+        for ref in iter_partitions(n):
+            text = _shuffled_text(ref.blocks, rng)
+            expected = SetPartition(tuple(reversed(ref.blocks)))
+            for got in (parse_partition(text), parse_partition(text, n)):
+                assert type(got) is SetPartition
+                assert got == expected and got.blocks == expected.blocks
+                assert got.block_index == expected.block_index
+                assert hash(got) == hash(expected)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_map(self, n):
+        for images in itertools.product(range(n), repeat=n):
+            expected = Transformation(images)
+            text = ",".join(map(str, images))
+            for got in (parse_transformation(text), parse_transformation(text, n)):
+                assert type(got) is Transformation
+                assert got == expected and got.images == images
+                assert hash(got) == hash(expected)
 
 
 class TestCompose:

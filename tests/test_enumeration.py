@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import factorial
 
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 
 import oracles
 from partmaps import core, enumeration
+from partmaps.cli import main
 from partmaps.core import (
+    CharacterMap,
     GuardExceededError,
     SetPartition,
     Transformation,
@@ -353,6 +356,32 @@ class TestChiClasses:
         p = SetPartition(tuple((i,) for i in range(12)))
         with pytest.raises(GuardExceededError, match="character classes"):
             chi_classes(p, guard=1000)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_trusted_objects_equal_validated_ones(self, n):
+        for p in iter_partitions(n):
+            for c in chi_classes(p):
+                assert type(c.character) is CharacterMap
+                assert type(c.representative) is Transformation
+                chi = CharacterMap(c.character.images)
+                rep = Transformation(c.representative.images)
+                assert c.character == chi and hash(c.character) == hash(chi)
+                assert c.representative == rep and hash(c.representative) == hash(rep)
+
+    # (bytes, sha256) of `quotient -p "0|1,2|3|4,5,6|7|8,9|10"` stdout in each
+    # format, as printed before classes were built without validation
+    QUOTIENT_7 = {
+        "lines": (86960, "7dae14b4010c51af384921dccc6e55b18ae5063c67cf17d57d19f00dd103ce8a"),
+        "json": (457871, "e1d4c96fdae9f95d1bc03d132b56833895b6652d6effa51040f69e63f3f23348"),
+        "csv": (96975, "22715161d13c5f86d7de2d96478b80e291b543c3660279869f201b605fe6ae3e"),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(QUOTIENT_7))
+    def test_quotient_output_is_unchanged(self, capsys, fmt):
+        code = main(["quotient", "-p", "0|1,2|3|4,5,6|7|8,9|10", "--format", fmt])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert (len(out), hashlib.sha256(out).hexdigest()) == self.QUOTIENT_7[fmt]
 
 
 class TestAgainstBruteCensus:
