@@ -37,7 +37,7 @@ from .core import (
     parse_transformation,
     profile_of,
 )
-from .counting import count_sigma_grouped
+from .counting import count_sigma_grouped, log10_count
 from .cycles import find_preserved_partition, preserved_m_partition_exists
 from .enumeration import _collect, _member_count, chi_classes
 from .membership import (
@@ -65,6 +65,13 @@ PREDICATES = (
 )
 
 SETS = ("T", "Sigma", "S", "E-Sigma", "E-T")
+
+# CPython's text for an int too long for str(), so that failing early reads
+# the same as failing in str() itself
+INT_STR_LIMIT_MESSAGE = (
+    "Exceeds the limit ({} digits) for integer string conversion; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
 
 
 def _emit_json(payload: dict) -> None:
@@ -157,6 +164,23 @@ def _parse_profile(text: str) -> PartitionProfile:
         raise ParseError(str(exc)) from None
 
 
+def _check_printable(profile: PartitionProfile, set_name: str) -> None:
+    """Raise str()'s ValueError before counting when the count surely has
+    more digits than this interpreter prints.
+
+    A count of d digits has log10 in [d - 1, d), so one whole digit of
+    margin, plus a relative 1e-9 for rounding, leaves every count near the
+    limit to str() itself.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit is not None else 0
+    if not limit:
+        return
+    estimate = log10_count(profile, set_name)
+    if estimate is not None and estimate > (limit + 1) * (1 + 1e-9):
+        raise ValueError(INT_STR_LIMIT_MESSAGE.format(limit))
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     if (args.partition is None) == (args.profile is None):
         raise ParseError("give exactly one of -p/--partition and --profile")
@@ -164,6 +188,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         profile = profile_of(parse_partition(args.partition))
     else:
         profile = _parse_profile(args.profile)
+    _check_printable(profile, args.set)
     _, value = _member_count(profile, args.set, args.guard)  # E-T is rejected by the parser
     if args.format == "json":
         _emit_json(

@@ -3,13 +3,15 @@ import io
 import itertools
 import json
 import re
+import sys
 
 import pytest
 
 import oracles
 from partmaps import cli
 from partmaps.cli import PREDICATES, main
-from partmaps.core import iter_partitions, parse_partition, parse_transformation
+from partmaps.core import PartitionProfile, iter_partitions, parse_partition, parse_transformation
+from partmaps.counting import count_sigma_idempotents, count_t, count_units
 from partmaps.membership import in_sigma
 
 
@@ -429,3 +431,65 @@ class TestParserReuse:
             assert run(capsys, "count", "--profile", "2:1", "--set", "T")[:2] == (0, "4\n")
         assert cli._build_parser.cache_info().misses == 1
         assert cli._build_parser.cache_info().hits == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestCountDigitLimit:
+    # count fails before counting when the answer is too long for str(), and
+    # must answer exactly as a late failure in str() would
+    EXACT = {"T": count_t, "S": count_units, "E-Sigma": count_sigma_idempotents}
+
+    @pytest.fixture
+    def digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("fmt", ["lines", "json", "csv"])
+    @pytest.mark.parametrize("size, mult, set_name", [(3, 8602, "S"), (3, 5914, "T"), (3, 6689, "E-Sigma")])
+    def test_answer_over_the_limit(self, capsys, size, mult, set_name, fmt):
+        value = self.EXACT[set_name](PartitionProfile(((size, mult),)))
+        with pytest.raises(ValueError) as late:
+            str(value)
+        argv = ["count", "--profile", f"{size}:{mult}", "--set", set_name, "--format", fmt]
+        got = run(capsys, *argv)
+        assert got == (2, "", f"error: {late.value}\n")
+
+    def test_fails_before_counting(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("counted an answer too long to print")
+
+        monkeypatch.setattr(cli, "_member_count", refuse)
+        code, out, err = run(capsys, "count", "--profile", "3:8602", "--set", "S")
+        assert (code, out) == (2, "")
+        assert "Exceeds the limit (4300 digits)" in err
+
+    @pytest.mark.parametrize(
+        "set_name, size",
+        [("T", 1), ("T", 2), ("T", 3), ("S", 1), ("S", 2), ("S", 3), ("E-Sigma", 2), ("E-Sigma", 3)],
+    )
+    def test_answers_around_the_limit(self, capsys, digit_limit, set_name, size):
+        limit = 640  # the smallest limit CPython accepts
+        sides = set()
+        mult = 0
+        while True:
+            mult += 1
+            value = self.EXACT[set_name](PartitionProfile(((size, mult),)))
+            digit_limit(0)
+            text = str(value)
+            digit_limit(limit)
+            if len(text) > limit + 10:
+                break
+            if len(text) < limit - 10:
+                continue
+            got = run(capsys, "count", "--profile", f"{size}:{mult}", "--set", set_name)
+            sides.add(len(text) > limit)
+            if len(text) <= limit:
+                assert got == (0, f"{text}\n", "")
+            else:
+                with pytest.raises(ValueError) as late:
+                    str(value)
+                assert got == (2, "", f"error: {late.value}\n")
+        assert sides == {False, True}

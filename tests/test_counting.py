@@ -1,4 +1,4 @@
-from math import factorial, prod
+from math import factorial, log10, prod
 
 import pytest
 from hypothesis import given
@@ -19,6 +19,7 @@ from partmaps.counting import (
     count_t,
     count_units,
     idempotent_count,
+    log10_count,
 )
 from strategies import partitions
 
@@ -172,6 +173,31 @@ class TestGroupedClosedForms:
         with pytest.raises(GuardExceededError) as exc:
             count_sigma_grouped(profile((1, 5), (2, 5)), guard=34)
         assert exc.value.required == 6 * 6 - 1
+
+
+class TestLog10Count:
+    EXACT = {"T": count_t, "S": count_units, "E-Sigma": count_sigma_idempotents}
+
+    def check(self, prof):
+        for name, exact in self.EXACT.items():
+            want = log10(exact(prof))
+            assert abs(log10_count(prof, name) - want) <= 1e-9 * max(1.0, want)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_profile_to_n12(self, n):
+        for sizes in integer_partitions(n):
+            self.check(PartitionProfile(tuple((s, sizes.count(s)) for s in set(sizes))))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [((3, 2000),), ((2, 9168),), ((30, 35), (36, 63)), ((15, 82), (17, 45)), ((1, 700), (40, 3))],
+    )
+    def test_counts_with_thousands_of_digits(self, entries):
+        self.check(profile(*entries))
+
+    def test_no_estimate_for_other_sets(self):
+        assert log10_count(profile((2, 2)), "Sigma") is None
+        assert log10_count(profile((2, 2)), "E-T") is None
 
 
 class TestStructuralProperties:
