@@ -1,9 +1,9 @@
-"""Time ``run_verification(5)`` and its homomorphism law for one or more source trees.
+"""Time ``run_verification(5)``, its census and each of its laws for one or more source trees.
 
 Usage::
 
     python benchmarks/bench_verify.py --src before=../old/src --src after=src \
-        --rounds 10 --out BENCH_4.json
+        --rounds 10 --out BENCH_9.json
 
 Each ``--src LABEL=DIR`` names a directory holding the ``partmaps``
 package; ``paired.py`` says how the trees take turns and what the JSON
@@ -13,7 +13,11 @@ holds.  One measurement times:
   ``partmaps verify --n-max 5``;
 * ``homomorphism_s``: the character-homomorphism law alone over every
   partition with at most ``PAIRWISE_N_MAX`` points, on a census built
-  beforehand and not timed.
+  beforehand and not timed;
+* ``census_seconds`` and ``<law>_seconds``: the parts of that
+  ``run_verification`` call as it reports them, the brute-force census and
+  each law's own time (``<law>`` is the law's name up to any
+  parenthesis).
 """
 
 from __future__ import annotations
@@ -49,15 +53,30 @@ assert tally.failures == 0
 print(json.dumps({
     "verify_s": verify_s,
     "homomorphism_s": homomorphism_s,
+    "census_seconds": results.census_seconds,
+    **{r.name.split("(")[0] + "_seconds": r.seconds for r in results},
     "cases": {r.name: r.cases for r in results},
 }))
 """
 
-METRICS = ("verify_s", "homomorphism_s")
+LAWS = (
+    "cardinality-formulas-vs-enumeration",
+    "brute-vs-constructive-enumeration",
+    "containments-and-idempotent-intersection",
+    "sigma-four-way-equivalence",
+    "character-homomorphism",
+    "units-criterion-and-block-images",
+    "sigma-idempotent-blockwise",
+    "t-idempotent-character",
+    "chi-quotient-classes",
+    "full-cycle-divisibility",
+    "full-cycle-units-uniform",
+)
+METRICS = ("verify_s", "homomorphism_s", "census_seconds", *(f"{law}_seconds" for law in LAWS))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = paired.parser(__doc__, default_out="BENCH_4.json")
+    parser = paired.parser(__doc__, default_out="BENCH_9.json")
     parser.add_argument("--n-max", type=int, default=5, dest="n_max")
     args = paired.parse_args(parser, argv)
     return paired.compare(
@@ -65,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         code=MEASURE,
         argv=[str(args.n_max)],
         metrics=METRICS,
-        benchmark=f"run_verification({args.n_max}) and its homomorphism law",
+        benchmark=f"run_verification({args.n_max}), its census, its laws and its homomorphism law",
         script="benchmarks/bench_verify.py",
         options=f"--n-max {args.n_max}",
     )

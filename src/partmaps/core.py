@@ -12,12 +12,13 @@ so ``compose(f, g)`` applies f first.
 The public constructors and parsers validate their input in full: every
 point must be an ``int`` (``bool`` is rejected) in range.  Tables and blocks
 that are valid by construction (composites, inverses, enumerated maps and
-partitions, the character classes of Sigma, and text the parsers have
-already checked point by point) skip that work through three private
-builders, ``_trusted_transformation``, ``_trusted_partition`` and
-``_trusted_character``, which produce instances of exactly these classes,
-so equality, order and hashing are the same whichever way an object was
-made.
+partitions, the characters and block maps of preserving maps, the character
+classes of Sigma, and text the parsers have already checked point by point)
+skip that work through four private builders, ``_trusted_transformation``,
+``_trusted_partition``, ``_trusted_character`` and
+``_trusted_block_map_family``, which produce instances of exactly these
+classes, so equality, order and hashing are the same whichever way an
+object was made.
 """
 
 from __future__ import annotations
@@ -370,6 +371,32 @@ def _trusted_character(images: tuple[int, ...]) -> CharacterMap:
     c = _new(CharacterMap)
     _set(c, "images", images)
     return c
+
+
+def _trusted_block_map_family(
+    partition: SetPartition, character: tuple[int, ...], images: tuple[int, ...]
+) -> BlockMapFamily:
+    """The ``BlockMapFamily`` of a map's restrictions to the blocks of ``partition``.
+
+    ``images`` is the map's image table and ``character`` its block-index
+    map.  Skips validation; callers vouch that the map preserves the
+    partition with that character.
+    """
+    blocks = partition.blocks
+    get = images.__getitem__
+    maps = []
+    for i, j in enumerate(character):
+        bm = _new(BlockMap)
+        _set(bm, "domain_index", i)
+        _set(bm, "codomain_index", j)
+        _set(bm, "domain", blocks[i])
+        _set(bm, "codomain", blocks[j])
+        _set(bm, "images", tuple(map(get, blocks[i])))
+        maps.append(bm)
+    family = _new(BlockMapFamily)
+    _set(family, "partition", partition)
+    _set(family, "maps", tuple(maps))
+    return family
 
 
 def compose(f: Transformation, g: Transformation) -> Transformation:

@@ -79,6 +79,17 @@ class ChiClass:
     representative: Transformation
 
 
+def _trusted_chi_class(
+    character: CharacterMap, size: int, representative: Transformation
+) -> ChiClass:
+    """A ``ChiClass`` built without running the dataclass ``__init__``."""
+    c = object.__new__(ChiClass)
+    object.__setattr__(c, "character", character)
+    object.__setattr__(c, "size", size)
+    object.__setattr__(c, "representative", representative)
+    return c
+
+
 def _check_strategy(strategy: str) -> None:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -311,18 +322,26 @@ def chi_classes(p: SetPartition, guard: int = DEFAULT_GUARD) -> list[ChiClass]:
     size ``prod(|X_phi(i)| ** |X_i|)``.  Classes come in lexicographic
     order of their characters; the representative is the least member,
     sending each block constantly to the minimum of its codomain block.
-    Both the character and the representative are valid by construction,
-    so they are built without validation, and the guard counts the m!
-    classes.
+    The classes, their characters and their representatives are valid by
+    construction, so they are built without validation, and the guard
+    counts the m! classes.
     """
     check_guard(factorial(p.m), guard, "character classes")
     sizes = p.sizes
-    minima = [b[0] for b in p.blocks]
+    # power[i][j] = |X_j| ** |X_i|, the ways to send block i into block j
+    power = [[sj**si for sj in sizes] for si in sizes]
+    minima = [b[0] for b in p.blocks].__getitem__
     index = p.block_index
+    get = list.__getitem__
     out: list[ChiClass] = []
     for phi in itertools.permutations(range(p.m)):
-        size = prod(map(pow, map(sizes.__getitem__, phi), sizes))
-        target = list(map(minima.__getitem__, phi))  # block i -> min of block phi(i)
-        images = tuple(map(target.__getitem__, index))
-        out.append(ChiClass(_trusted_character(phi), size, _trusted_transformation(images)))
+        # point x -> min of block phi(block of x)
+        images = tuple(map(minima, map(phi.__getitem__, index)))
+        out.append(
+            _trusted_chi_class(
+                _trusted_character(phi),
+                prod(map(get, power, phi)),
+                _trusted_transformation(images),
+            )
+        )
     return out

@@ -16,11 +16,12 @@ so that equivalence checks compare them only on their common domain.
 from __future__ import annotations
 
 from .core import (
-    BlockMap,
     BlockMapFamily,
     CharacterMap,
     SetPartition,
     Transformation,
+    _trusted_block_map_family,
+    _trusted_character,
 )
 
 
@@ -51,7 +52,11 @@ def preserves(f: Transformation, p: SetPartition) -> bool:
 
 
 def character(f: Transformation, p: SetPartition) -> CharacterMap:
-    """The induced map on block indices: i -> j when block i lands in block j."""
+    """The induced map on block indices: i -> j when block i lands in block j.
+
+    Every entry is a block index read from ``p``, so the result is built
+    without validating it again.
+    """
     _require_same_n(f, p)
     idx = p.block_index
     img = f.images
@@ -66,25 +71,16 @@ def character(f: Transformation, p: SetPartition) -> CharacterMap:
                     f"blocks {min(j, jx)} and {max(j, jx)}"
                 )
         out.append(j)
-    return CharacterMap(tuple(out))
+    return _trusted_character(tuple(out))
 
 
 def block_map_family(f: Transformation, p: SetPartition) -> BlockMapFamily:
-    """The family of restrictions of f to the blocks, one per block."""
-    chi = character(f, p)
-    maps = []
-    for i, block in enumerate(p.blocks):
-        j = chi(i)
-        maps.append(
-            BlockMap(
-                domain_index=i,
-                codomain_index=j,
-                domain=block,
-                codomain=p.blocks[j],
-                images=tuple(f.images[x] for x in block),
-            )
-        )
-    return BlockMapFamily(p, tuple(maps))
+    """The family of restrictions of f to the blocks, one per block.
+
+    ``character`` proves that block i lands inside block chi(i), so the
+    block maps are built without validating them again.
+    """
+    return _trusted_block_map_family(p, character(f, p).images, f.images)
 
 
 def in_sigma(f: Transformation, p: SetPartition) -> bool:
@@ -175,11 +171,20 @@ def sigma_idempotent_via_blocks(f: Transformation, p: SetPartition) -> bool:
     """Idempotence of a Sigma member, decided blockwise.
 
     True exactly when every block restriction is an idempotent selfmap of
-    its own block.  Raises :class:`NotInSigmaError` when f is not in Sigma.
+    its own block, read from the image table: each point x of block i has
+    its image in block i, and that image is fixed.  Raises
+    :class:`NotInSigmaError` when f is not in Sigma.
     """
     if not in_sigma(f, p):
         raise NotInSigmaError(
             "map is not in Sigma(X, P): it must preserve the partition and "
             "its image must meet every block"
         )
-    return all(bm.is_idempotent() for bm in block_map_family(f, p))
+    idx = p.block_index
+    img = f.images
+    for i, block in enumerate(p.blocks):
+        for x in block:
+            y = img[x]
+            if idx[y] != i or img[y] != y:
+                return False
+    return True

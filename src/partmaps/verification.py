@@ -5,20 +5,25 @@ all ground sets up to a requested size, using brute-force enumeration as
 the reference on one side of each comparison.  Each law gets one named
 result with a pass flag, a case count and its own wall time in seconds, so
 a caller can render a pass/fail matrix; the run also reports the time
-spent building the shared brute-force census.  Failure text is built only
+spent building the shared brute-force census.  Most laws check their
+cases in bulk: the pass flags of many cases come from C-level ``map`` calls
+over the census lists and are counted at once.  Failure text is built only
 for failing cases, and only for the first three of each law.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import factorial
-from operator import itemgetter
+from operator import attrgetter, eq, itemgetter
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import (
     DEFAULT_GUARD,
+    CharacterMap,
     SetPartition,
     Transformation,
     check_guard,
@@ -96,6 +101,22 @@ class _Tally:
             self.failures += 1
             if len(self.examples) < 3:
                 self.examples.append(describe())
+
+    def check_all(self, flags: Iterable[bool], describe: Callable[[int], str]) -> None:
+        """Count one case per pass flag; ``describe(i)`` builds the text of case i.
+
+        Case i is the i-th flag.  Text is built only for failing cases, and
+        only while fewer than three examples are stored, counting those of
+        earlier ``check`` and ``check_all`` calls.
+        """
+        flags = list(flags)
+        self.cases += len(flags)
+        if all(flags):
+            return
+        failed = [i for i, ok in enumerate(flags) if not ok]
+        self.failures += len(failed)
+        for i in failed[: 3 - len(self.examples)]:
+            self.examples.append(describe(i))
 
     def run(self, law: Callable[..., None], *args) -> None:
         """Run ``law(self, *args)`` and add its wall time to this tally."""
@@ -230,12 +251,16 @@ def _check_containments(containment, data, label):
 
 
 def _check_four_way(four_way, p, data, label):
-    for f in data["t"]:
-        a = in_sigma(f, p)
-        b = sigma_via_character(f, p)
-        c = is_e_star_preserving(f, p)
-        d = sigma_via_topology(f, p)
-        four_way.check(a == b == c == d, lambda: f"{f} at {label}")
+    t_maps = data["t"]
+    # every route runs on every member of T
+    a, b, c, d = (
+        list(map(route, t_maps, repeat(p)))
+        for route in (in_sigma, sigma_via_character, is_e_star_preserving, sigma_via_topology)
+    )
+    four_way.check_all(
+        [w == x == y == z for w, x, y, z in zip(a, b, c, d)],
+        lambda i: f"{t_maps[i]} at {label}",
+    )
 
 
 def _reader(table: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -250,73 +275,93 @@ def _check_homomorphism(homomorphism, p, data, label):
     # chi(fg) = chi(f)chi(g) on image tables: T is closed under composition,
     # so chi(fg) is looked up instead of recomputed once per pair, and a
     # composite outside T finds no entry and fails its case
-    char_of = {f.images: character(f, p).images for f in data["t"]}
-    lookup = char_of.get
-    check = homomorphism.check
-    right = [(g, g.images, char_of[g.images]) for g in data["t"]]
-    for f in data["t"]:
-        then_f = _reader(f.images)  # the table of fg from the table of g
-        then_cf = _reader(char_of[f.images])
-        for g, gi, cg in right:
-            check(lookup(then_f(gi)) == then_cf(cg), lambda: f"{f};{g} at {label}")
+    t_maps = data["t"]
+    tables = [f.images for f in t_maps]
+    chars = [chi.images for chi in map(character, t_maps, repeat(p))]
+    lookup = dict(zip(tables, chars)).get
+    for f, table, cf in zip(t_maps, tables, chars):
+        # one batch per f: case i is the pair (f, g) with g the i-th member
+        homomorphism.check_all(
+            map(eq, map(lookup, map(_reader(table), tables)), map(_reader(cf), chars)),
+            lambda i: f"{f};{t_maps[i]} at {label}",
+        )
 
 
 def _check_units(units_law, p, data, label):
-    unit_set = set(data["units"])
-    for f in data["t"]:
-        direct = f.is_bijection() and preserves(f, p) and preserves(f.inverse(), p)
-        units_law.check(
-            (f in unit_set) == direct, lambda: f"unit criteria disagree on {f} at {label}"
-        )
-    for f in data["units"]:
-        for block in p.blocks:
-            image = tuple(sorted(f.images[x] for x in block))
-            units_law.check(
-                image in p.blocks and len(image) == len(block),
-                lambda: f"block image of {f} at {label}",
-            )
+    t_maps, units = data["t"], data["units"]
+    unit_set = set(units)
+    units_law.check_all(
+        [
+            (f in unit_set)
+            == (f.is_bijection() and preserves(f, p) and preserves(f.inverse(), p))
+            for f in t_maps
+        ],
+        lambda i: f"unit criteria disagree on {t_maps[i]} at {label}",
+    )
+    # one case per unit and block, blocks innermost
+    blocks = p.blocks
+    flags: list[bool] = []
+    for f in units:
+        get = f.images.__getitem__
+        for block in blocks:
+            image = tuple(sorted(map(get, block)))
+            flags.append(image in blocks and len(image) == len(block))
+    units_law.check_all(flags, lambda i: f"block image of {units[i // len(blocks)]} at {label}")
 
 
 def _check_sigma_idempotents(sigma_idem, p, data, label):
-    for f in data["sigma"]:
-        sigma_idem.check(
-            is_idempotent(f) == sigma_idempotent_via_blocks(f, p),
-            lambda: f"blockwise idempotence of {f} at {label}",
-        )
-    for f in data["e_sigma"]:
-        sigma_idem.check(
-            character(f, p).is_identity(), lambda: f"character of idempotent {f} at {label}"
-        )
+    sigma, e_sigma = data["sigma"], data["e_sigma"]
+    sigma_idem.check_all(
+        map(eq, map(is_idempotent, sigma), map(sigma_idempotent_via_blocks, sigma, repeat(p))),
+        lambda i: f"blockwise idempotence of {sigma[i]} at {label}",
+    )
+    sigma_idem.check_all(
+        map(CharacterMap.is_identity, map(character, e_sigma, repeat(p))),
+        lambda i: f"character of idempotent {e_sigma[i]} at {label}",
+    )
 
 
 def _check_t_idempotents(t_idem, p, data, label):
+    # per idempotent: its character, then the block map of each block in
+    # the character's image; ``cases[i]`` is (f, None) or (f, block index)
+    cases: list[tuple[Transformation, int | None]] = []
+    flags: list[bool] = []
     for f in data["e_t"]:
         chi = character(f, p)
-        t_idem.check(chi.is_idempotent(), lambda: f"character of {f} at {label}")
+        cases.append((f, None))
+        flags.append(chi.is_idempotent())
         family = block_map_family(f, p)
         for i in set(chi.images):
-            t_idem.check(
-                family[i].is_idempotent(), lambda: f"block map {i} of {f} at {label}"
-            )
+            cases.append((f, i))
+            flags.append(family[i].is_idempotent())
+
+    def describe(k: int) -> str:
+        f, i = cases[k]
+        if i is None:
+            return f"character of {f} at {label}"
+        return f"block map {i} of {f} at {label}"
+
+    t_idem.check_all(flags, describe)
 
 
 def _check_quotient(quotient, p, data, guard, label):
     classes = chi_classes(p, guard=guard)
     quotient.check(len(classes) == factorial(p.m), lambda: f"class count at {label}")
-    grouped: dict[tuple[int, ...], int] = {}
-    for f in data["sigma"]:
-        key = character(f, p).images
-        grouped[key] = grouped.get(key, 0) + 1
+    grouped = Counter(map(attrgetter("images"), map(character, data["sigma"], repeat(p))))
+    # two cases per class: its size, then its representative
+    flags: list[bool] = []
     for cls in classes:
-        quotient.check(
-            grouped.get(cls.character.images, 0) == cls.size,
-            lambda: f"class {cls.character} size at {label}",
-        )
-        quotient.check(
-            in_sigma(cls.representative, p)
-            and character(cls.representative, p) == cls.character,
-            lambda: f"representative of {cls.character} at {label}",
-        )
+        rep = cls.representative
+        flags.append(grouped.get(cls.character.images, 0) == cls.size)
+        flags.append(in_sigma(rep, p) and character(rep, p) == cls.character)
+
+    def describe(k: int) -> str:
+        chi = classes[k // 2].character
+        if k % 2 == 0:
+            return f"class {chi} size at {label}"
+        return f"representative of {chi} at {label}"
+
+    quotient.check_all(flags, describe)
     quotient.check(
         sum(cls.size for cls in classes) == len(data["sigma"]),
         lambda: f"class sizes sum at {label}",

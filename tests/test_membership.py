@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given
 
 import oracles
-from partmaps.core import SetPartition, Transformation, compose
+from partmaps.core import (
+    BlockMap,
+    BlockMapFamily,
+    CharacterMap,
+    SetPartition,
+    Transformation,
+    compose,
+    iter_partitions,
+)
+from partmaps.enumeration import iter_t
 from partmaps.membership import (
     NotInSigmaError,
     NotPreservingError,
@@ -259,6 +268,70 @@ class TestAgainstOracles:
                 fam = block_map_family(f, p)
                 for i in set(chi.images):
                     assert fam[i].is_idempotent()
+
+
+def validated_results(f, p):
+    """The character and block-map family of a preserving f, built through
+    the validating constructors."""
+    chi = CharacterMap(tuple(p.block_index[f.images[block[0]]] for block in p.blocks))
+    family = BlockMapFamily(
+        p,
+        tuple(
+            BlockMap(
+                domain_index=i,
+                codomain_index=chi.images[i],
+                domain=block,
+                codomain=p.blocks[chi.images[i]],
+                images=tuple(f.images[x] for x in block),
+            )
+            for i, block in enumerate(p.blocks)
+        ),
+    )
+    return chi, family
+
+
+def t_members(n_max):
+    for n in range(1, n_max + 1):
+        for p in iter_partitions(n):
+            for f in iter_t(p):
+                yield p, f
+
+
+class TestTrustedResults:
+    """``character`` and ``block_map_family`` skip validation; their results
+    must be indistinguishable from validated ones."""
+
+    def test_character_equals_the_validated_map(self):
+        for p, f in t_members(5):
+            chi, _ = validated_results(f, p)
+            got = character(f, p)
+            assert type(got) is CharacterMap
+            assert got == chi and hash(got) == hash(chi) and str(got) == str(chi)
+
+    def test_block_map_family_equals_the_validated_family(self):
+        for p, f in t_members(5):
+            _, family = validated_results(f, p)
+            got = block_map_family(f, p)
+            assert type(got) is BlockMapFamily
+            assert all(type(bm) is BlockMap for bm in got)
+            assert got == family and hash(got) == hash(family)
+
+    def test_blockwise_idempotence_matches_the_block_map_route(self):
+        # the old route through validated BlockMap objects is the oracle
+        for p, f in t_members(5):
+            if in_sigma(f, p):
+                _, family = validated_results(f, p)
+                expected = all(bm.is_idempotent() for bm in family)
+                assert sigma_idempotent_via_blocks(f, p) == expected
+
+    def test_blockwise_idempotence_rejects_maps_outside_sigma(self):
+        for n in range(1, 4):
+            for p in iter_partitions(n):
+                for images in oracles.all_maps(n):
+                    f = Transformation(images)
+                    if not in_sigma(f, p):
+                        with pytest.raises(NotInSigmaError):
+                            sigma_idempotent_via_blocks(f, p)
 
 
 class TestProperties:

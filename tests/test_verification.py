@@ -85,6 +85,64 @@ def test_failure_text_is_built_only_for_stored_failures():
     assert result.detail == "10 cases, 7 failures: even 1; even 3; fail 0"
 
 
+def test_batch_checks_pass_the_failing_index_to_describe():
+    tally = verification._Tally("law")
+    seen = []
+
+    def describe(i):
+        seen.append(i)
+        return f"case {i}"
+
+    tally.check_all(map(bool, [1, 0, 1, 1, 0]), describe)
+    tally.check_all([True, True], describe)
+    assert seen == [1, 4]
+    assert (tally.cases, tally.failures) == (7, 2)
+    assert tally.result().detail == "7 cases, 2 failures: case 1; case 4"
+
+
+def test_single_and_batch_checks_share_the_first_three_examples():
+    tally = verification._Tally("law")
+    built = []
+
+    def single(text):
+        def build():
+            built.append(text)
+            return text
+
+        return build
+
+    def batch(name):
+        def build(i):
+            built.append(f"{name} {i}")
+            return f"{name} {i}"
+
+        return build
+
+    tally.check(True, single("pass"))
+    tally.check(False, single("single"))
+    tally.check_all([True, False, True, False, False], batch("first"))
+    tally.check(False, single("late single"))
+    tally.check_all([False, False], batch("late batch"))
+    assert built == ["single", "first 1", "first 3"]
+    result = tally.result()
+    assert (result.cases, result.passed) == (10, False)
+    assert result.detail == "10 cases, 7 failures: single; first 1; first 3"
+
+
+def test_one_wrong_character_fails_only_its_homomorphism_pairs(monkeypatch):
+    real = verification.character
+
+    def wrong(f, p):
+        # the constant map 0,0 on 0|1 has character 0,0, not 1,1
+        return CharacterMap((1, 1)) if f.images == (0, 0) and p.m == 2 else real(f, p)
+
+    monkeypatch.setattr(verification, "character", wrong)
+    law = _by_name(run_verification(2))["character-homomorphism(n<=2)"]
+    assert not law.passed
+    # the text the harness printed when each pair was its own check
+    assert law.detail == "33 cases, 2 failures: 0,0;1,0 at 0|1; 1,1;1,0 at 0|1"
+
+
 def test_each_law_and_the_census_are_timed():
     results = run_verification(3)
     assert all(r.seconds > 0 for r in results)
