@@ -13,23 +13,27 @@ The public constructors and parsers validate their input in full: every
 point must be an ``int`` (``bool`` is rejected) in range.  Tables and blocks
 that are valid by construction (composites, inverses, enumerated maps and
 partitions, the characters and block maps of preserving maps, the character
-classes of Sigma, and text the parsers have already checked point by point)
-skip that work through four private builders, ``_trusted_transformation``,
-``_trusted_partition``, ``_trusted_character`` and
-``_trusted_block_map_family``, which produce instances of exactly these
-classes, so equality, order and hashing are the same whichever way an
-object was made.
+classes of Sigma, the profiles of partitions, and text the parsers have
+already checked point by point) skip that work through five private
+builders, ``_trusted_transformation``, ``_trusted_partition``,
+``_trusted_character``, ``_trusted_block_map_family`` and
+``_trusted_profile``, which produce instances of exactly these classes, so
+equality, order and hashing are the same whichever way an object was made.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 
 DEFAULT_GUARD = 10**7
+
+# answers kept by each per-profile cache (``profile_of`` and the counting
+# formulas); one entry per profile, and n <= 14 has only 135 profiles
+CACHE_SIZE = 1024
 
 
 class ParseError(ValueError):
@@ -399,6 +403,17 @@ def _trusted_block_map_family(
     return family
 
 
+def _trusted_profile(entries: tuple[tuple[int, int], ...]) -> PartitionProfile:
+    """A ``PartitionProfile`` around (size, multiplicity) pairs of positive
+    ints, ascending by size with no size repeated.
+
+    Skips validation and sorting; callers vouch for the entries.
+    """
+    prof = _new(PartitionProfile)
+    _set(prof, "entries", entries)
+    return prof
+
+
 def compose(f: Transformation, g: Transformation) -> Transformation:
     """Left-to-right composition: x(fg) = (xf)g."""
     if f.n != g.n:
@@ -407,9 +422,18 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
 
 
 def profile_of(p: SetPartition) -> PartitionProfile:
-    """Block sizes of ``p`` with multiplicities."""
-    counts = Counter(len(b) for b in p.blocks)
-    return PartitionProfile(tuple(sorted(counts.items())))
+    """Block sizes of ``p`` with multiplicities.
+
+    Partitions with the same block sizes may get the same (immutable)
+    profile object.
+    """
+    return _profile_of_sizes(tuple(sorted(map(len, p.blocks))))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _profile_of_sizes(sizes: tuple[int, ...]) -> PartitionProfile:
+    # the sizes ascend, so the counter lists them in ascending order
+    return _trusted_profile(tuple(Counter(sizes).items()))
 
 
 def parse_transformation(text: str, n: int | None = None) -> Transformation:

@@ -7,14 +7,22 @@ dynamic programme over how many codomain blocks of each size class are
 still free.  Keeping the direct form naive lets the two validate each
 other.  :func:`log10_count` gives the size of a count in floating point
 without building it, so a caller can tell in advance how long it is.
+
+Every count except the direct Sigma form depends only on the profile, so
+each is computed by a private kernel on ``profile.entries`` that keeps up
+to ``CACHE_SIZE`` answers, the least recently used dropped first: a sweep
+over all partitions of n evaluates each formula once per profile, not once
+per partition.  The grouped Sigma count checks its guard on every call,
+before the lookup, so a cached answer never skips the guard.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 from math import comb, factorial, fsum, inf, lgamma, log, log10, prod
 
-from .core import DEFAULT_GUARD, PartitionProfile, SetPartition, check_guard
+from .core import CACHE_SIZE, DEFAULT_GUARD, PartitionProfile, SetPartition, check_guard
 
 import itertools
 
@@ -32,7 +40,11 @@ def count_t(profile: PartitionProfile) -> int:
     A map is assembled blockwise; a block of size s has ``sum(m_j * s_j**s)``
     possible restrictions, one term per choice of codomain block.
     """
-    entries = profile.entries
+    return _count_t(profile.entries)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _count_t(entries: tuple[tuple[int, int], ...]) -> int:
     return prod(
         sum(mult_j * size_j**size_i for size_j, mult_j in entries) ** mult_i
         for size_i, mult_i in entries
@@ -42,7 +54,12 @@ def count_t(profile: PartitionProfile) -> int:
 def count_units(profile: PartitionProfile) -> int:
     """Size of the group of units: m_i! block arrangements per size class,
     times n_i! bijections per block."""
-    return prod(factorial(mult) * factorial(size) ** mult for size, mult in profile.entries)
+    return _count_units(profile.entries)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _count_units(entries: tuple[tuple[int, int], ...]) -> int:
+    return prod(factorial(mult) * factorial(size) ** mult for size, mult in entries)
 
 
 def count_sigma_direct(p: SetPartition, guard: int = DEFAULT_GUARD) -> int:
@@ -76,8 +93,13 @@ def count_sigma_grouped(profile: PartitionProfile, guard: int = DEFAULT_GUARD) -
     """
     entries = profile.entries
     check_guard(prod(mult + 1 for _, mult in entries) - 1, guard, "Sigma count states")
+    return _count_sigma_grouped(entries)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _count_sigma_grouped(entries: tuple[tuple[int, int], ...]) -> int:
     ways = {tuple(mult for _, mult in entries): 1}
-    for size_a in profile.block_sizes():
+    for size_a in (size for size, mult in entries for _ in range(mult)):
         step: dict[tuple[int, ...], int] = {}
         for left, w in ways.items():
             for b, (size_b, _) in enumerate(entries):
@@ -95,7 +117,12 @@ def count_sigma_idempotents(profile: PartitionProfile) -> int:
     Such idempotents restrict to an independent idempotent selfmap on each
     block, so the count is a product of per-block idempotent counts.
     """
-    return prod(idempotent_count(size) ** mult for size, mult in profile.entries)
+    return _count_sigma_idempotents(profile.entries)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _count_sigma_idempotents(entries: tuple[tuple[int, int], ...]) -> int:
+    return prod(idempotent_count(size) ** mult for size, mult in entries)
 
 
 def _log10_sum(logs: Iterable[float]) -> float:

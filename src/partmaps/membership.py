@@ -102,20 +102,21 @@ def sigma_via_topology(f: Transformation, p: SetPartition) -> bool:
 
     Checks that the preimage of every block is a nonempty union of blocks.
     Open sets are exactly the unions of blocks and preimages commute with
-    unions, so checking the basis decides all open sets at once.
+    unions, so checking the basis decides all open sets at once.  The
+    preimages of all blocks are gathered in one pass over the image table.
     """
     _require_same_n(f, p)
     idx = p.block_index
-    img = f.images
-    for block in p.blocks:
-        members = set(block)
-        pre = {x for x in range(f.n) if img[x] in members}
-        if not pre:
+    blocks = p.blocks
+    pre: list[set[int]] = [set() for _ in blocks]
+    for x, y in enumerate(f.images):
+        pre[idx[y]].add(x)
+    for pre_j in pre:
+        if not pre_j:
             return False
-        for x in pre:
-            for y in p.blocks[idx[x]]:
-                if y not in pre:
-                    return False
+        for x in pre_j:
+            if not pre_j.issuperset(blocks[idx[x]]):
+                return False
     return True
 
 

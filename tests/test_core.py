@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from partmaps.core import (
+    CACHE_SIZE,
     CharacterMap,
     ParseError,
     PartitionProfile,
@@ -18,6 +19,7 @@ from partmaps.core import (
     iter_partitions,
     parse_partition,
     parse_transformation,
+    _profile_of_sizes,
     profile_of,
 )
 from strategies import partitions, transformations
@@ -213,6 +215,20 @@ class TestProfile:
     def test_invariant_under_block_reordering(self, p):
         reordered = SetPartition(tuple(reversed(p.blocks)))
         assert profile_of(reordered) == profile_of(p)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_validated_constructor(self, n):
+        # profile_of builds through the trusted builder and a cache
+        for p in iter_partitions(n):
+            sizes = [len(b) for b in p.blocks]
+            expected = PartitionProfile(tuple((s, sizes.count(s)) for s in set(sizes)))
+            got = profile_of(p)
+            assert type(got) is PartitionProfile
+            assert got == expected and got.entries == expected.entries
+            assert hash(got) == hash(expected)
+
+    def test_cache_is_bounded(self):
+        assert _profile_of_sizes.cache_info().maxsize == CACHE_SIZE
 
 
 class TestTransformationType:

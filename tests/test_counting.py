@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from partmaps import counting
 from partmaps.core import (
+    CACHE_SIZE,
     GuardExceededError,
     PartitionProfile,
     SetPartition,
@@ -143,6 +145,12 @@ def integer_partitions(n, largest=None):
             yield (part,) + rest
 
 
+def profiles_of(n):
+    """The profiles of the partitions of n points."""
+    for sizes in integer_partitions(n):
+        yield PartitionProfile(tuple((s, sizes.count(s)) for s in set(sizes)))
+
+
 class TestGroupedClosedForms:
     @pytest.mark.parametrize("size", [1, 2, 3, 7])
     @pytest.mark.parametrize("mult", [1, 2, 5, 17, 60])
@@ -164,8 +172,7 @@ class TestGroupedClosedForms:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_state_guard_never_exceeds_the_count(self, n):
         # so the Sigma enumeration guard, which counts members, trips first
-        for sizes in integer_partitions(n):
-            prof = PartitionProfile(tuple((s, sizes.count(s)) for s in set(sizes)))
+        for prof in profiles_of(n):
             states = prod(mult + 1 for _, mult in prof.entries) - 1
             assert states <= count_sigma_grouped(prof, guard=states)
 
@@ -185,8 +192,8 @@ class TestLog10Count:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_profile_to_n12(self, n):
-        for sizes in integer_partitions(n):
-            self.check(PartitionProfile(tuple((s, sizes.count(s)) for s in set(sizes))))
+        for prof in profiles_of(n):
+            self.check(prof)
 
     @pytest.mark.parametrize(
         "entries",
@@ -220,3 +227,53 @@ class TestStructuralProperties:
         assert t > 2**200
         assert count_units(prof) == factorial(3) * factorial(30) ** 3 * factorial(2) * factorial(7) ** 2
         assert count_units(prof) <= count_sigma_grouped(prof) <= t
+
+
+def partition_with(prof):
+    """The partition of consecutive points into blocks of the profile's sizes."""
+    blocks, start = [], 0
+    for size in prof.block_sizes():
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    return SetPartition(tuple(blocks))
+
+
+KERNELS = {
+    count_t: counting._count_t,
+    count_sigma_grouped: counting._count_sigma_grouped,
+    count_units: counting._count_units,
+    count_sigma_idempotents: counting._count_sigma_idempotents,
+}
+
+
+class TestPerProfileCaches:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_public_counts_match_uncached_kernels(self, n):
+        for prof in profiles_of(n):
+            for public, kernel in KERNELS.items():
+                # twice, so the second call is answered from the cache
+                assert public(prof) == public(prof) == kernel.__wrapped__(prof.entries)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_grouped_matches_direct_once_per_profile(self, n):
+        for prof in profiles_of(n):
+            p = partition_with(prof)
+            assert profile_of(p) == prof
+            assert count_sigma_grouped(prof) == count_sigma_direct(p)
+
+    def test_guard_checked_on_a_cache_hit(self):
+        prof = profile((1, 5), (2, 5))
+        counting._count_sigma_grouped.cache_clear()
+        with pytest.raises(GuardExceededError) as cold:
+            count_sigma_grouped(prof, guard=34)
+        count_sigma_grouped(prof)
+        assert counting._count_sigma_grouped.cache_info().currsize == 1
+        with pytest.raises(GuardExceededError) as warm:
+            count_sigma_grouped(prof, guard=34)
+        assert str(warm.value) == str(cold.value)
+        assert warm.value.required == cold.value.required == 6 * 6 - 1
+
+    def test_every_cache_is_bounded(self):
+        assert CACHE_SIZE >= 1
+        for kernel in KERNELS.values():
+            assert kernel.cache_info().maxsize == CACHE_SIZE

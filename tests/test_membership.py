@@ -135,6 +135,23 @@ class TestSigmaViaTopology:
         # preimage of {0,1} under [0,2,1] is {0,2}, splitting block {0,1}
         assert not sigma_via_topology(t(0, 2, 1), P3)
 
+    def test_every_table_to_n4(self):
+        # against in_sigma and against the preimages taken block by block,
+        # on preserving and non-preserving tables alike
+        splitting = 0
+        for n, blocks, p, table in all_cases(4):
+            for images in oracles.all_maps(n):
+                f = Transformation(images)
+                open_preimages = True
+                for block in blocks:
+                    pre = {x for x in range(n) if images[x] in block}
+                    if not pre or any(not pre.issuperset(blocks[table[x]]) for x in pre):
+                        open_preimages = False
+                got = sigma_via_topology(f, p)
+                assert got == in_sigma(f, p) == open_preimages
+                splitting += not oracles.o_preserves(images, blocks, table)
+        assert splitting > 0
+
 
 class TestEStarPreserving:
     def test_block_swap(self):
