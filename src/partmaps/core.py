@@ -60,12 +60,14 @@ def check_guard(required: int, guard: int, what: str) -> None:
         raise GuardExceededError(what, required, guard)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Transformation:
     """A total selfmap on {0, ..., n-1} stored as its image table.
 
     ``images[x]`` is the image of point x.  Instances are immutable and
-    ordered by their image tables (lexicographically).
+    ordered by their image tables (lexicographically).  The table is the
+    only slot: instances have no ``__dict__`` and cannot be weakly
+    referenced.
     """
 
     images: tuple[int, ...]
@@ -342,6 +344,9 @@ class BlockMapFamily:
 
 _new = object.__new__
 _set = object.__setattr__
+# stores a table into a bare ``Transformation``, past the frozen ``__setattr__``;
+# the generators build their maps with it too
+_store_images = Transformation.images.__set__
 
 
 def _trusted_transformation(images: tuple[int, ...]) -> Transformation:
@@ -350,7 +355,7 @@ def _trusted_transformation(images: tuple[int, ...]) -> Transformation:
     Skips validation; callers vouch for the table.
     """
     f = _new(Transformation)
-    _set(f, "images", images)
+    _store_images(f, images)
     return f
 
 

@@ -242,6 +242,54 @@ class TestEnumerate:
         assert "exceeds guard" in err
 
 
+def _singleton_prefixes(n):
+    """The first members of each set on n singletons, worked out by hand."""
+    ident = tuple(range(n))
+    # the first three permutations in lexicographic order
+    perms = [ident, ident[:-2] + (n - 1, n - 2), ident[:-3] + (n - 2, n - 3, n - 1)]
+    return {
+        "T": [(0,) * (n - 1) + (y,) for y in range(3)],
+        "Sigma": perms,
+        "S": perms,
+        "E-Sigma": [ident],  # the identity is the only idempotent
+    }
+
+
+def _evens_odds_prefixes():
+    """The first members of each set on the evens and odds of 34 points."""
+    ident = tuple(range(34))
+    return {
+        # every point into the evens, the last one onto 0, 2, 4
+        "T": [(0,) * 33 + (y,) for y in (0, 2, 4)],
+        # the blocks are fixed, so the first members send them onto 0 and 1
+        "Sigma": [(0, 1) * 16 + (0, y) for y in (1, 3, 5)],
+        "S": [ident, ident[:31] + (33, 32, 31), ident[:30] + (32, 31, 30, 33)],
+        "E-Sigma": [(0, 1) * 17, (0, 1) * 16 + (0, 33), (0, 1) * 16 + (32, 1)],
+    }
+
+
+PREFIX_CASES = [
+    *(("|".join(map(str, range(n))), _singleton_prefixes(n)) for n in (20, 21, 40)),
+    (
+        ",".join(map(str, range(0, 34, 2))) + "|" + ",".join(map(str, range(1, 34, 2))),
+        _evens_odds_prefixes(),
+    ),
+]
+
+
+class TestLongPrefixes:
+    """Prefixes on partitions whose compiled loop nests span several functions."""
+
+    @pytest.mark.parametrize("kind", ["T", "Sigma", "S", "E-Sigma"])
+    @pytest.mark.parametrize("text,prefixes", PREFIX_CASES, ids=["20", "21", "40", "evens-odds-34"])
+    def test_first_three_members(self, capsys, text, prefixes, kind):
+        code, out, err = run(capsys, "enumerate", "-p", text, "--set", kind, "--limit", "3")
+        maps = prefixes[kind]
+        total = f"# total: {len(maps)}" + (" (truncated)" if len(maps) == 3 else "")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [",".join(map(str, f)) for f in maps] + [total]
+
+
 class TestQuotient:
     def test_table_and_footer(self, capsys):
         code, out, _ = run(capsys, "quotient", "-p", "0,1|2")

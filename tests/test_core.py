@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -271,6 +274,21 @@ class TestTransformationType:
         f = Transformation((2, 2, 0))
         assert f(0) == 2 and f(2) == 0
         assert f.image_set() == frozenset({0, 2})
+
+    def test_pickle_and_copy_round_trips(self):
+        validated = Transformation((2, 0, 0, 1))
+        for f in (validated, compose(validated, Transformation.identity(4))):
+            for twin in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+                assert type(twin) is Transformation
+                assert twin == validated and hash(twin) == hash(validated)
+
+    def test_slotted_instances(self):
+        f = Transformation((1, 0))
+        assert not hasattr(f, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(f)
+        with pytest.raises(AttributeError):
+            f.images = (0, 0)
 
 
 class TestSetPartitionType:

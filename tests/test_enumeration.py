@@ -35,7 +35,7 @@ from partmaps.enumeration import (
     iter_t,
     iter_units,
 )
-from partmaps.membership import character, in_sigma
+from partmaps.membership import character, in_sigma, in_units, is_idempotent
 from partmaps.verification import run_verification
 from strategies import partitions
 
@@ -251,28 +251,39 @@ class TestGuards:
 def built(monkeypatch):
     """Counts the transformations constructed while a test runs.
 
-    Both routes count: the validating constructor and the trusted builder
-    that the generators use.
+    Every route counts: the validating constructor, and the table store
+    that the trusted builder and the compiled generators share.  A
+    generator fetches the store when it is created, so the patch reaches it.
     """
     count = [0]
     init = Transformation.__init__
-    trusted = core._trusted_transformation
+    store = core._store_images
 
     def counting_init(self, *args, **kwargs):
         count[0] += 1
         init(self, *args, **kwargs)
 
-    def counting_trusted(images):
+    def counting_store(f, images):
         count[0] += 1
-        return trusted(images)
+        store(f, images)
 
     monkeypatch.setattr(Transformation, "__init__", counting_init)
     for module in (core, enumeration):
-        monkeypatch.setattr(module, "_trusted_transformation", counting_trusted)
+        monkeypatch.setattr(module, "_store_images", counting_store)
     return count
 
 
 class TestLaziness:
+    def test_t_prefix_builds_only_the_prefix(self, built):
+        out = enumerate_t(NINE_SINGLETONS, limit=3)
+        assert [f.images for f in out] == [(0,) * 8 + (y,) for y in range(3)]
+        assert 3 <= built[0] <= 4
+
+    def test_sigma_prefix_builds_only_the_prefix(self, built):
+        out = enumerate_sigma(NINE_SINGLETONS, limit=3)
+        assert [f.images[6:] for f in out] == [(6, 7, 8), (6, 8, 7), (7, 6, 8)]
+        assert 3 <= built[0] <= 4
+
     def test_units_prefix_builds_only_the_prefix(self, built):
         p = SetPartition(tuple((i,) for i in range(8)))
         out = enumerate_units(p, limit=3)
@@ -284,6 +295,50 @@ class TestLaziness:
         out = enumerate_idempotents(p, limit=3)
         assert len(out) == 3 and out.truncated
         assert 3 <= built[0] <= 4
+
+
+@pytest.fixture
+def stage_points(monkeypatch):
+    """Sets the points per compiled function; kernels compiled under it are dropped after."""
+
+    def set_stage(points):
+        monkeypatch.setattr(enumeration, "_STAGE_POINTS", points)
+        enumeration._kernels.cache_clear()
+
+    yield set_stage
+    monkeypatch.undo()
+    enumeration._kernels.cache_clear()
+
+
+class TestCompiledKernels:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_short_stages_equal_brute_force(self, stage_points, n):
+        # one brute scan per partition serves both stage lengths
+        for p in iter_partitions(n):
+            t = list(iter_t(p, "brute"))
+            sigma = [f for f in t if in_sigma(f, p)]
+            expected = {
+                "T": t,
+                "Sigma": sigma,
+                "S": [f for f in sigma if in_units(f, p)],
+                "E-Sigma": [f for f in sigma if is_idempotent(f)],
+            }
+            for points in (2, 3):
+                stage_points(points)
+                for set_name, members in expected.items():
+                    assert list(enumeration._members(p, set_name, "constructive", 10**6)) == members
+
+    def test_kernels_compile_on_first_use(self):
+        enumeration._kernels.cache_clear()
+        p = SetPartition(((0, 2), (1,)))
+        iter_units(p)
+        iter_units(p)
+        info = enumeration._kernels.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert list(enumeration._kernels(p.block_index)) == ["S"]
+
+    def test_cache_is_bounded(self):
+        assert enumeration._kernels.cache_info().maxsize == core.CACHE_SIZE
 
 
 class TestAlgebraicStructure:
