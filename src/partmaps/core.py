@@ -519,36 +519,49 @@ def iter_partitions(n: int, block_count: int | None = None) -> Iterator[SetParti
 
     Canonical order is lexicographic on restricted-growth strings (point i
     gets the index of its block).  With ``block_count`` set, only partitions
-    with exactly that many blocks are produced, in the same order.
+    with exactly that many blocks are produced, in the same order.  ``n``
+    and ``block_count`` must be ``int`` (``bool`` is rejected).
+
+    The walk is depth first over the prefixes of those strings, on an
+    explicit stack of ``(next point, labels, blocks)``.  A child adds one
+    point to its parent's tuples, either to block j or as a new block, so
+    the blocks stay canonical and the labels are their ``block_index``.
+    Children are pushed in reverse so that they pop in canonical order;
+    those of the last point are yielded without a push.  A prefix is cut
+    when it could not end with ``block_count`` blocks.
     """
+    if type(n) is not int:
+        raise ValueError(f"ground-set size {n!r} is not an int")
+    if block_count is not None and type(block_count) is not int:
+        raise ValueError(f"block count {block_count!r} is not an int")
     if n < 1:
         raise ValueError("ground-set size must be positive")
     if block_count is not None and not 1 <= block_count <= n:
         return
-    labels = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[SetPartition]:
-        if i == n:
-            if block_count is None or used == block_count:
-                yield _partition_from_labels(labels, used)
-            return
-        top = used + 1
-        if block_count is not None:
-            # cannot exceed block_count labels, and must still be able to reach it
-            top = min(top, block_count)
-            if used + (n - i) < block_count:
-                return
-        for lab in range(top):
-            labels[i] = lab
-            yield from rec(i + 1, used + 1 if lab == used else used)
-
-    yield from rec(0, 0)
-
-
-def _partition_from_labels(labels: list[int], used: int) -> SetPartition:
-    # a restricted-growth string lists its blocks by minimum, points ascending,
-    # so the blocks are canonical and the labels are the block index
-    blocks: list[list[int]] = [[] for _ in range(used)]
-    for x, lab in enumerate(labels):
-        blocks[lab].append(x)
-    return _trusted_partition(tuple(map(tuple, blocks)), tuple(labels))
+    # a prefix may open a block while it has fewer than most_blocks, and may
+    # put a point into an old one while the points left can still reach
+    # fewest_blocks
+    most_blocks = fewest_blocks = block_count
+    if block_count is None:
+        most_blocks, fewest_blocks = n, 1
+    last = n - 1
+    stack = [(0, (), ())]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        i, labels, blocks = pop()
+        used = len(blocks)
+        if i == last:
+            if used >= fewest_blocks:
+                for j in range(used):
+                    yield _trusted_partition(
+                        blocks[:j] + (blocks[j] + (i,),) + blocks[j + 1 :], labels + (j,)
+                    )
+            if used < most_blocks:
+                yield _trusted_partition(blocks + ((i,),), labels + (used,))
+            continue
+        if used < most_blocks:
+            push((i + 1, labels + (used,), blocks + ((i,),)))
+        if used + last - i >= fewest_blocks:
+            for j in range(used - 1, -1, -1):
+                push((i + 1, labels + (j,), blocks[:j] + (blocks[j] + (i,),) + blocks[j + 1 :]))

@@ -140,19 +140,26 @@ def _kernel_source(p: SetPartition, set_name: str) -> str:
     * Sigma: as T, but a lead skips the blocks that earlier leads took,
       held as a bit mask of block indices in ``k<x>``.
     * S: as Sigma, but a lead takes only blocks of its own size, and a
-      non-lead skips the images its block has used, held as a bit mask of
-      points in ``u<x>``.
+      non-lead skips the images already placed.
     * E-Sigma: every point maps into its own block, onto a fixed point.
-      ``u<x>`` holds the images of x's block so far; below x these are
-      exactly the fixed points.  Once x is in ``u``, x must take x;
-      otherwise it takes x, a larger point or a smaller one in ``u``.
+      The images of x's block so far are, below x, exactly its fixed
+      points.  Once x is among them, x must take x; otherwise it takes x,
+      a larger point or a smaller one among them.
+
+    S and E-Sigma hold the images placed so far as one bit mask of points
+    in ``u<x>``.  Each block's images lie in a codomain block that no other
+    block's images meet, so testing a point of block i against the one
+    mask is testing it against block i's own images.  The last point of a
+    block adds nothing to the mask, since no later point of its block reads
+    it.
 
     Every partial table that a rule admits extends to a member, so the
     search never runs into a dead end.  The nest is split into functions
     ``_s0``, ``_s1``, ... of ``_STAGE_POINTS`` points each.  Each hands the
-    next one the images so far as the tuple ``head`` and the masks still
-    in use, so the source grows linearly with the partition's size.  It
-    holds no text but integers taken from the partition.
+    next one the images so far as the tuple ``head`` and at most two masks,
+    so the source grows linearly with the partition's size.  It holds no
+    text but integers taken from the partition, and no integer larger than
+    the number of points.
     """
     idx = p.block_index
     blocks = p.blocks
@@ -160,7 +167,7 @@ def _kernel_source(p: SetPartition, set_name: str) -> str:
     stage = _STAGE_POINTS
     lines: list[str] = []
     mask = ""  # the taken-blocks mask after the latest lead (Sigma and S)
-    used: dict[int, str] = {}  # block -> the mask of its images so far (S and E-Sigma)
+    used = ""  # the placed-images mask after the latest update (S and E-Sigma)
     first = 0  # the first point of the current stage
     depth = 0
 
@@ -172,7 +179,7 @@ def _kernel_source(p: SetPartition, set_name: str) -> str:
     for x in range(p.n):
         if x % stage == 0:
             name = f"_s{x // stage}"
-            live = [*([mask] if mask else []), *used.values()]
+            live = [held for held in (mask, used) if held]
             if x:
                 args = ", ".join([images(x), *live])
                 lines.append(f"{'    ' * depth}yield from {name}(store, {args})")
@@ -188,9 +195,8 @@ def _kernel_source(p: SetPartition, set_name: str) -> str:
         body: list[str] = []  # statements before the next loop opens
         if set_name == "E-Sigma":
             pool = f"blocks[{i}]"
-            if i in used:
-                u = used[i]
-                forced_or_unfixed = f"{u} & {1 << x} or {v} < {x} and not {u} & pbit[{v}]"
+            if x != block[0]:
+                forced_or_unfixed = f"{used} & pbit[{x}] or {v} < {x} and not {used} & pbit[{v}]"
                 body.append(f"if {v} != {x} and ({forced_or_unfixed}): continue")
         elif x == block[0]:
             pool = f"same[{i}]" if set_name == "S" else "points"
@@ -204,13 +210,10 @@ def _kernel_source(p: SetPartition, set_name: str) -> str:
             lead = f"v{block[0]}" if block[0] >= first else f"head[{block[0]}]"
             pool = f"block_of[{lead}]"
             if set_name == "S":
-                body.append(f"if {used[i]} & pbit[{v}]: continue")
-        if set_name in ("S", "E-Sigma"):
-            if x == block[-1]:
-                used.pop(i, None)
-            else:
-                body.append(f"u{x} = {used[i] + ' | ' if i in used else ''}pbit[{v}]")
-                used[i] = f"u{x}"
+                body.append(f"if {used} & pbit[{v}]: continue")
+        if set_name in ("S", "E-Sigma") and x != block[-1]:
+            body.append(f"u{x} = {used + ' | ' if used else ''}pbit[{v}]")
+            used = f"u{x}"
         pad = "    " * depth
         lines.append(f"{pad}for {v} in {pool}:")
         lines.extend(f"{pad}    {line}" for line in body)

@@ -94,6 +94,42 @@ def all_partitions(n):
         yield tuple(sorted(tuple(sorted(b)) for b in part))
 
 
+def restricted_growth_strings(n, k=None):
+    """Restricted-growth strings of length n in lexicographic order, lazily.
+
+    With k set, only the strings with exactly k distinct labels.  Each
+    string comes from the one before by a successor rule: raise the
+    rightmost label that can still be raised, then fill the rest with the
+    least completion.  This shares nothing with the package's prefix walk.
+    """
+    if n < 1 or (k is not None and not 1 <= k <= n):
+        return
+    fewest, most = (1, n) if k is None else (k, k)
+
+    def least_completion(prefix):
+        labels = max(prefix) + 1
+        opened = max(fewest - labels, 0)
+        zeros = n - len(prefix) - opened
+        return prefix + [0] * zeros + list(range(labels, labels + opened))
+
+    s = least_completion([0])
+    while True:
+        yield tuple(s)
+        for pos in range(n - 1, 0, -1):
+            labels = max(s[:pos]) + 1
+            raised = [
+                v
+                for v in range(s[pos] + 1, labels + 1)
+                if fewest <= max(labels, v + 1) + (n - pos - 1)
+                and max(labels, v + 1) <= most
+            ]
+            if raised:
+                s = least_completion(s[:pos] + [raised[0]])
+                break
+        else:
+            return
+
+
 def two_class_sigma(a, p, b, q):
     """|Sigma| for p blocks of size a and q of size b, summed over the number
     j of size-a blocks sent into size-b blocks (as many go the other way)."""

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 import weakref
 
 import pytest
@@ -395,3 +396,42 @@ class TestIterPartitions:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             list(iter_partitions(0))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sequence_equals_restricted_growth_oracle(self, n):
+        for k in [None, *range(n + 2)]:
+            got = [p.block_index for p in iter_partitions(n, block_count=k)]
+            assert got == list(oracles.restricted_growth_strings(n, k)), k
+
+    def test_one_point(self):
+        only = SetPartition(((0,),))
+        assert list(iter_partitions(1)) == [only]
+        assert list(iter_partitions(1, block_count=1)) == [only]
+        assert list(iter_partitions(1, block_count=0)) == []
+        assert list(iter_partitions(1, block_count=2)) == []
+
+    @pytest.mark.parametrize("block_count", [None, 3])
+    def test_prefix_of_a_large_ground_set(self, block_count):
+        got = itertools.islice(iter_partitions(40, block_count=block_count), 60)
+        expected = itertools.islice(oracles.restricted_growth_strings(40, block_count), 60)
+        assert [p.block_index for p in got] == list(expected)
+
+    def test_lazy(self):
+        # the partitions of 200 points could never all be built; the first
+        # few must come at once
+        start = time.perf_counter()
+        first = list(itertools.islice(iter_partitions(200), 3))
+        assert time.perf_counter() - start < 0.5
+        expected = itertools.islice(oracles.restricted_growth_strings(200), 3)
+        assert [p.block_index for p in first] == list(expected)
+        assert first[0].blocks == (tuple(range(200)),)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_non_int_size(self, n):
+        with pytest.raises(ValueError, match="not an int"):
+            list(iter_partitions(n))
+
+    @pytest.mark.parametrize("block_count", [2.0, 2.5, True, "2"])
+    def test_rejects_a_non_int_block_count(self, block_count):
+        with pytest.raises(ValueError, match="not an int"):
+            list(iter_partitions(3, block_count=block_count))

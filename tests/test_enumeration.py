@@ -340,6 +340,15 @@ class TestCompiledKernels:
     def test_cache_is_bounded(self):
         assert enumeration._kernels.cache_info().maxsize == core.CACHE_SIZE
 
+    @pytest.mark.parametrize("set_name", ["S", "E-Sigma"])
+    def test_source_grows_linearly_with_open_blocks(self, set_name):
+        # the pairs (i, k + i) keep k blocks open across every stage boundary
+        def source_length(k):
+            p = SetPartition(tuple((i, k + i) for i in range(k)))
+            return len(enumeration._kernel_source(p, set_name))
+
+        assert source_length(400) <= 2.2 * source_length(200)
+
 
 class TestAlgebraicStructure:
     @pytest.mark.parametrize("blocks", [((0, 1), (2,)), ((0,), (1, 2, 3))])
