@@ -19,6 +19,9 @@ milliseconds, are medians of the repetitions except the first:
 * ``count_sigma_ms``: ``count --profile 2:30,3:30 --set Sigma``;
 * ``enumerate_s_ms``: ``enumerate --set S --limit 3`` on 8 singletons;
 * ``quotient7_ms``: ``quotient`` on 7 singletons (5040 classes);
+* ``quotient7_mixed_ms``: ``quotient`` on ``0|1,2|3|4,5,6|7|8,9|10``, seven
+  blocks of sizes 1 to 3;
+* ``quotient7_json_ms``: ``quotient --format json`` on 7 singletons;
 * ``chi_classes7_ms``: ``enumeration.chi_classes`` on 7 singletons alone.
 
 The exit code of every call is recorded, and all repetitions of a call
@@ -63,6 +66,8 @@ CALLS += [
     ("enumerate_s_ms", ["enumerate", "-p", "|".join(map(str, range(8))), "--set", "S",
                         "--limit", "3"], 101),
     ("quotient7_ms", ["quotient", "-p", "|".join(map(str, range(7)))], 11),
+    ("quotient7_mixed_ms", ["quotient", "-p", "0|1,2|3|4,5,6|7|8,9|10"], 11),
+    ("quotient7_json_ms", ["quotient", "-p", "|".join(map(str, range(7))), "--format", "json"], 11),
 ]
 
 out = {"exits": {}}
@@ -98,6 +103,8 @@ METRICS = (
     "count_sigma_ms",
     "enumerate_s_ms",
     "quotient7_ms",
+    "quotient7_mixed_ms",
+    "quotient7_json_ms",
     "chi_classes7_ms",
 )
 

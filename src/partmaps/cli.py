@@ -21,7 +21,7 @@ import csv
 import functools
 import json
 import sys
-from math import factorial
+from collections.abc import Sequence
 
 from .core import (
     DEFAULT_GUARD,
@@ -39,7 +39,7 @@ from .core import (
 )
 from .counting import count_sigma_grouped, log10_count
 from .cycles import find_preserved_partition, preserved_m_partition_exists
-from .enumeration import _collect, _member_count, chi_classes
+from .enumeration import _class_count, _class_table, _collect, _member_count
 from .membership import (
     character,
     in_sigma,
@@ -78,7 +78,7 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
-def _emit_csv(rows: list[list[str]]) -> None:
+def _emit_csv(rows: list[Sequence[str]]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerows(rows)
 
@@ -233,26 +233,29 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
+    """Print the character classes of Sigma straight from the class table.
+
+    Both guards are checked before any class is built: the m! classes
+    first, then the states of the Sigma count.  Rows are written from the
+    table's columns with no object per class.
+    """
     p = parse_partition(args.partition)
-    classes = chi_classes(p, guard=args.guard)
-    expected = factorial(p.m)
-    total = sum(cls.size for cls in classes)
+    expected = _class_count(p.m, args.guard)
     sigma_count = count_sigma_grouped(profile_of(p), guard=args.guard)
-    consistent = len(classes) == expected and total == sigma_count
+    characters, representatives, sizes = _class_table(p, guard=args.guard, text=True)
+    total = sum(sizes)
+    consistent = len(sizes) == expected and total == sigma_count
+    size_texts = map(str, sizes)
     if args.format == "json":
         _emit_json(
             {
                 "command": "quotient",
                 "partition": format_partition(p),
                 "classes": [
-                    {
-                        "character": str(cls.character),
-                        "size": str(cls.size),
-                        "representative": format_transformation(cls.representative),
-                    }
-                    for cls in classes
+                    {"character": chi, "size": size, "representative": rep}
+                    for chi, size, rep in zip(characters, size_texts, representatives)
                 ],
-                "class_count": len(classes),
+                "class_count": len(sizes),
                 "expected_class_count": expected,
                 "total": str(total),
                 "sigma_count": str(sigma_count),
@@ -260,13 +263,11 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             }
         )
     elif args.format == "csv":
-        rows = [["character", "size"]]
-        rows += [[str(cls.character), str(cls.size)] for cls in classes]
-        _emit_csv(rows)
+        _emit_csv([["character", "size"], *zip(characters, size_texts)])
     else:
-        print("\n".join(f"{cls.character} {cls.size}" for cls in classes))
+        print("\n".join(map(" ".join, zip(characters, size_texts))))
         print(
-            f"# classes: {len(classes)} (expected {expected}), total: {total}, "
+            f"# classes: {len(sizes)} (expected {expected}), total: {total}, "
             f"sigma: {sigma_count}, consistent: {str(consistent).lower()}"
         )
     return 0 if consistent else 1

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -393,6 +394,50 @@ def enumerate_idempotents(
     return _collect(p, _idempotent_set(ambient), strategy, limit, guard)
 
 
+def _class_count(m: int, guard: int) -> int:
+    """m!, the number of character classes of a partition with m blocks,
+    once the guard has allowed them."""
+    count = factorial(m)
+    check_guard(count, guard, "character classes")
+    return count
+
+
+def _class_table(
+    p: SetPartition, guard: int = DEFAULT_GUARD, text: bool = False
+) -> tuple[Iterator, Iterator, list[int]]:
+    """The classes of Sigma under equal character maps, as three parallel columns.
+
+    The columns are the characters, the image tables of the least members
+    (each block sent constantly to the minimum of its image block) and the
+    class sizes.  With ``text`` the first two hold the text that ``str``
+    gives a ``CharacterMap`` and ``format_transformation`` a map, instead
+    of tuples of ints.  Every column comes from ``itertools.permutations``
+    over a sequence indexed by block: the block indices, the block minima
+    and the block sizes.  ``permutations`` orders its output by position
+    alone, so row k of every column belongs to the k-th permutation phi in
+    lexicographic order.  The class of phi has ``prod(|X_phi(i)| ** |X_i|)``
+    members, computed once per distinct tuple of permuted sizes.  The first
+    two columns are lazy; the guard counts the m! classes.
+    """
+    m = p.m
+    _class_count(m, guard)
+    labels = list(range(m))
+    minima = [b[0] for b in p.blocks]
+    if text:
+        labels, minima = list(map(str, labels)), list(map(str, minima))
+    # point x -> the permuted minimum at the block of x; with singleton
+    # blocks the permuted minima are already that table
+    spread = itemgetter(*p.block_index) if p.n > m else tuple
+    characters = itertools.permutations(labels)
+    representatives = map(spread, itertools.permutations(minima))
+    if text:
+        characters = map(",".join, characters)
+        representatives = map(",".join, representatives)
+    sizes = p.sizes
+    size_of = cache(lambda permuted: prod(map(pow, permuted, sizes)))
+    return characters, representatives, list(map(size_of, itertools.permutations(sizes)))
+
+
 def chi_classes(p: SetPartition, guard: int = DEFAULT_GUARD) -> list[ChiClass]:
     """The classes of Sigma under equal character maps.
 
@@ -404,23 +449,13 @@ def chi_classes(p: SetPartition, guard: int = DEFAULT_GUARD) -> list[ChiClass]:
     The classes, their characters and their representatives are valid by
     construction, so they are built without validation, and the guard
     counts the m! classes.
+
+    This is the object view of ``_class_table``, which ``partmaps
+    quotient`` prints from directly, so the library and the CLI share one
+    source of class order and class sizes.
     """
-    check_guard(factorial(p.m), guard, "character classes")
-    sizes = p.sizes
-    # power[i][j] = |X_j| ** |X_i|, the ways to send block i into block j
-    power = [[sj**si for sj in sizes] for si in sizes]
-    minima = [b[0] for b in p.blocks].__getitem__
-    index = p.block_index
-    get = list.__getitem__
-    out: list[ChiClass] = []
-    for phi in itertools.permutations(range(p.m)):
-        # point x -> min of block phi(block of x)
-        images = tuple(map(minima, map(phi.__getitem__, index)))
-        out.append(
-            _trusted_chi_class(
-                _trusted_character(phi),
-                prod(map(get, power, phi)),
-                _trusted_transformation(images),
-            )
-        )
-    return out
+    characters, representatives, sizes = _class_table(p, guard)
+    return [
+        _trusted_chi_class(_trusted_character(phi), size, _trusted_transformation(images))
+        for phi, images, size in zip(characters, representatives, sizes)
+    ]

@@ -4,14 +4,26 @@ import itertools
 import json
 import re
 import sys
+from math import factorial, prod
 
 import pytest
 
 import oracles
 from partmaps import cli
 from partmaps.cli import PREDICATES, main
-from partmaps.core import PartitionProfile, iter_partitions, parse_partition, parse_transformation
-from partmaps.counting import count_sigma_idempotents, count_t, count_units
+from partmaps.core import (
+    CharacterMap,
+    PartitionProfile,
+    Transformation,
+    format_partition,
+    format_transformation,
+    iter_partitions,
+    parse_partition,
+    parse_transformation,
+    profile_of,
+)
+from partmaps.counting import count_sigma_grouped, count_sigma_idempotents, count_t, count_units
+from partmaps.enumeration import ChiClass, chi_classes
 from partmaps.membership import in_sigma
 
 
@@ -316,6 +328,137 @@ class TestQuotient:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["character", "size"]
         assert len(rows) == 7
+
+    def test_class_guard_fails_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked past a guard that was exceeded")
+
+        monkeypatch.setattr(cli, "count_sigma_grouped", refuse)
+        monkeypatch.setattr(cli, "_class_table", refuse)
+        # six classes exceed a guard of 5; the Sigma count's 3 states would not
+        code, out, err = run(capsys, "quotient", "-p", "0|1|2", "--guard", "5")
+        assert (code, out) == (3, "")
+        assert "character classes" in err
+
+    def test_sigma_count_guard_fails_before_any_class_is_built(self, capsys, monkeypatch):
+        calls = [0]
+        table = cli._class_table
+
+        def counting_table(*args, **kwargs):
+            calls[0] += 1
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_class_table", counting_table)
+        code, out, err = run(capsys, "quotient", "-p", "0|1,2", "--guard", "2")
+        assert (code, out, calls[0]) == (3, "", 0)
+        assert "Sigma count states" in err
+        assert run(capsys, "quotient", "-p", "0|1,2")[0] == 0
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+    def test_builds_no_object_per_class(self, capsys, monkeypatch, fmt):
+        """Seven blocks print 5040 classes without a ChiClass, a CharacterMap
+        or a Transformation for any of them."""
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        names = ("_trusted_chi_class", "_trusted_character", "_store_images")
+        bound = 0
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "partmaps":
+                continue
+            for name in names:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+                    bound += 1
+        assert bound >= 5  # core, enumeration and membership bind them
+        code, out, _ = run(capsys, "quotient", "-p", "0|1,2|3|4,5,6|7|8,9|10", "--format", fmt)
+        assert code == 0 and len(out) > 5040
+        assert calls == {}
+
+
+def oracle_classes(p):
+    """The character classes of Sigma, one validated ``ChiClass`` per
+    permutation phi of the block indices, built point by point."""
+    sizes = p.sizes
+    out = []
+    for phi in itertools.permutations(range(p.m)):
+        size = prod(sizes[j] ** sizes[i] for i, j in enumerate(phi))
+        least = tuple(p.blocks[phi[p.block_index[x]]][0] for x in range(p.n))
+        out.append(ChiClass(CharacterMap(phi), size, Transformation(least)))
+    return out
+
+
+def quotient_oracle(text, fmt):
+    """(exit code, stdout) of ``quotient -p text --format fmt``, formatted from
+    ``ChiClass`` objects as the CLI did before it printed from the class table."""
+    p = parse_partition(text)
+    classes = oracle_classes(p)
+    expected = factorial(p.m)
+    total = sum(cls.size for cls in classes)
+    sigma_count = count_sigma_grouped(profile_of(p))
+    consistent = len(classes) == expected and total == sigma_count
+    out = io.StringIO()
+    if fmt == "json":
+        payload = {
+            "command": "quotient",
+            "partition": format_partition(p),
+            "classes": [
+                {
+                    "character": str(cls.character),
+                    "size": str(cls.size),
+                    "representative": format_transformation(cls.representative),
+                }
+                for cls in classes
+            ],
+            "class_count": len(classes),
+            "expected_class_count": expected,
+            "total": str(total),
+            "sigma_count": str(sigma_count),
+            "consistent": consistent,
+        }
+        print(json.dumps(payload), file=out)
+    elif fmt == "csv":
+        rows = [["character", "size"]]
+        rows += [[str(cls.character), str(cls.size)] for cls in classes]
+        csv.writer(out, lineterminator="\n").writerows(rows)
+    else:
+        print("\n".join(f"{cls.character} {cls.size}" for cls in classes), file=out)
+        print(
+            f"# classes: {len(classes)} (expected {expected}), total: {total}, "
+            f"sigma: {sigma_count}, consistent: {str(consistent).lower()}",
+            file=out,
+        )
+    return (0 if consistent else 1), out.getvalue()
+
+
+class TestQuotientAgainstOracle:
+    SEVEN_BLOCKS = [
+        "|".join(map(str, range(7))),
+        "0|1,2|3|4,5,6|7|8,9|10",
+        "|".join(f"{2 * i},{2 * i + 1}" for i in range(7)),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_partition_up_to_six_points(self, capsys, fmt, n):
+        for p in iter_partitions(n):
+            text = format_partition(p)
+            assert chi_classes(p) == oracle_classes(p), text
+            got = run(capsys, "quotient", "-p", text, "--format", fmt)
+            assert got == (*quotient_oracle(text, fmt), ""), text
+
+    @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+    @pytest.mark.parametrize("text", SEVEN_BLOCKS)
+    def test_seven_blocks(self, capsys, fmt, text):
+        got = run(capsys, "quotient", "-p", text, "--format", fmt)
+        assert got == (*quotient_oracle(text, fmt), "")
 
 
 class TestCharacter:
