@@ -318,7 +318,11 @@ def cmd_find_partition(args: argparse.Namespace) -> int:
             }
         )
     else:
-        print("none" if witness is None else format_partition(witness))
+        text = "none" if witness is None else format_partition(witness)
+        if args.format == "csv":
+            _emit_csv([["partition"], [text]])
+        else:
+            print(text)
     if witness is None:
         return 1
     if verified is False:

@@ -10,15 +10,21 @@ Composition is left to right everywhere in this package: x(fg) = (xf)g,
 so ``compose(f, g)`` applies f first.
 
 The public constructors and parsers validate their input in full: every
-point must be an ``int`` (``bool`` is rejected) in range.  Tables and blocks
-that are valid by construction (composites, inverses, enumerated maps and
-partitions, the characters and block maps of preserving maps, the character
-classes of Sigma, the profiles of partitions, and text the parsers have
-already checked point by point) skip that work through five private
-builders, ``_trusted_transformation``, ``_trusted_partition``,
-``_trusted_character``, ``_trusted_block_map_family`` and
-``_trusted_profile``, which produce instances of exactly these classes, so
-equality, order and hashing are the same whichever way an object was made.
+point, image, block size and multiplicity must be an ``int`` (``bool`` is
+rejected) in range.  Three private builders skip that work on tables that
+are valid by construction, each on a path whose cost a workload measures:
+
+* ``_trusted_transformation``: the maps of the brute-force scan,
+  composites, inverses and the tables the parsers have already checked
+  point by point;
+* ``_trusted_partition``: the partitions that ``iter_partitions`` yields
+  and that ``parse_partition`` has checked;
+* ``_trusted_character``: the character that ``membership.character``
+  reads from a partition's block table.
+
+They produce instances of exactly these classes, so equality, order and
+hashing are the same whichever way an object was made.  Everything else,
+profiles and block maps included, goes through its validating constructor.
 """
 
 from __future__ import annotations
@@ -186,14 +192,20 @@ class SetPartition:
 class PartitionProfile:
     """Distinct block sizes with multiplicities, ascending by size.
 
-    ``entries`` is a tuple of (size, multiplicity) pairs; the constructor
-    sorts by size and rejects repeated sizes.
+    ``entries`` is a tuple of (size, multiplicity) pairs of ``int``; the
+    constructor sorts by size and rejects repeated sizes.
     """
 
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        entries = tuple(sorted((int(s), int(c)) for s, c in self.entries))
+        entries = [(s, c) for s, c in self.entries]
+        for s, c in entries:
+            if type(s) is not int:
+                raise ValueError(f"block size {s!r} is not an int")
+            if type(c) is not int:
+                raise ValueError(f"multiplicity {c!r} of size {s} is not an int")
+        entries = tuple(sorted(entries))
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("profile needs at least one entry")
@@ -242,6 +254,8 @@ class CharacterMap:
         if m == 0:
             raise ValueError("character map needs at least one block")
         for i, j in enumerate(images):
+            if type(j) is not int:
+                raise ValueError(f"block image {j!r} of block {i} is not an int")
             if not 0 <= j < m:
                 raise ValueError(f"block image {j} out of range for m={m}")
 
@@ -382,43 +396,6 @@ def _trusted_character(images: tuple[int, ...]) -> CharacterMap:
     return c
 
 
-def _trusted_block_map_family(
-    partition: SetPartition, character: tuple[int, ...], images: tuple[int, ...]
-) -> BlockMapFamily:
-    """The ``BlockMapFamily`` of a map's restrictions to the blocks of ``partition``.
-
-    ``images`` is the map's image table and ``character`` its block-index
-    map.  Skips validation; callers vouch that the map preserves the
-    partition with that character.
-    """
-    blocks = partition.blocks
-    get = images.__getitem__
-    maps = []
-    for i, j in enumerate(character):
-        bm = _new(BlockMap)
-        _set(bm, "domain_index", i)
-        _set(bm, "codomain_index", j)
-        _set(bm, "domain", blocks[i])
-        _set(bm, "codomain", blocks[j])
-        _set(bm, "images", tuple(map(get, blocks[i])))
-        maps.append(bm)
-    family = _new(BlockMapFamily)
-    _set(family, "partition", partition)
-    _set(family, "maps", tuple(maps))
-    return family
-
-
-def _trusted_profile(entries: tuple[tuple[int, int], ...]) -> PartitionProfile:
-    """A ``PartitionProfile`` around (size, multiplicity) pairs of positive
-    ints, ascending by size with no size repeated.
-
-    Skips validation and sorting; callers vouch for the entries.
-    """
-    prof = _new(PartitionProfile)
-    _set(prof, "entries", entries)
-    return prof
-
-
 def compose(f: Transformation, g: Transformation) -> Transformation:
     """Left-to-right composition: x(fg) = (xf)g."""
     if f.n != g.n:
@@ -438,7 +415,7 @@ def profile_of(p: SetPartition) -> PartitionProfile:
 @lru_cache(maxsize=CACHE_SIZE)
 def _profile_of_sizes(sizes: tuple[int, ...]) -> PartitionProfile:
     # the sizes ascend, so the counter lists them in ascending order
-    return _trusted_profile(tuple(Counter(sizes).items()))
+    return PartitionProfile(tuple(Counter(sizes).items()))
 
 
 def parse_transformation(text: str, n: int | None = None) -> Transformation:

@@ -90,17 +90,6 @@ class ChiClass:
     representative: Transformation
 
 
-def _trusted_chi_class(
-    character: CharacterMap, size: int, representative: Transformation
-) -> ChiClass:
-    """A ``ChiClass`` built without running the dataclass ``__init__``."""
-    c = object.__new__(ChiClass)
-    object.__setattr__(c, "character", character)
-    object.__setattr__(c, "size", size)
-    object.__setattr__(c, "representative", representative)
-    return c
-
-
 def _check_strategy(strategy: str) -> None:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -446,9 +435,8 @@ def chi_classes(p: SetPartition, guard: int = DEFAULT_GUARD) -> list[ChiClass]:
     size ``prod(|X_phi(i)| ** |X_i|)``.  Classes come in lexicographic
     order of their characters; the representative is the least member,
     sending each block constantly to the minimum of its codomain block.
-    The classes, their characters and their representatives are valid by
-    construction, so they are built without validation, and the guard
-    counts the m! classes.
+    The characters and the representatives are valid by construction and
+    skip their constructors' checks; the guard counts the m! classes.
 
     This is the object view of ``_class_table``, which ``partmaps
     quotient`` prints from directly, so the library and the CLI share one
@@ -456,6 +444,6 @@ def chi_classes(p: SetPartition, guard: int = DEFAULT_GUARD) -> list[ChiClass]:
     """
     characters, representatives, sizes = _class_table(p, guard)
     return [
-        _trusted_chi_class(_trusted_character(phi), size, _trusted_transformation(images))
+        ChiClass(_trusted_character(phi), size, _trusted_transformation(images))
         for phi, images, size in zip(characters, representatives, sizes)
     ]

@@ -16,11 +16,11 @@ so that equivalence checks compare them only on their common domain.
 from __future__ import annotations
 
 from .core import (
+    BlockMap,
     BlockMapFamily,
     CharacterMap,
     SetPartition,
     Transformation,
-    _trusted_block_map_family,
     _trusted_character,
 )
 
@@ -77,10 +77,18 @@ def character(f: Transformation, p: SetPartition) -> CharacterMap:
 def block_map_family(f: Transformation, p: SetPartition) -> BlockMapFamily:
     """The family of restrictions of f to the blocks, one per block.
 
-    ``character`` proves that block i lands inside block chi(i), so the
-    block maps are built without validating them again.
+    Block i maps into block chi(i); raises :class:`NotPreservingError`
+    when f does not preserve p.
     """
-    return _trusted_block_map_family(p, character(f, p).images, f.images)
+    blocks = p.blocks
+    get = f.images.__getitem__
+    return BlockMapFamily(
+        p,
+        tuple(
+            BlockMap(i, j, blocks[i], blocks[j], tuple(map(get, blocks[i])))
+            for i, j in enumerate(character(f, p).images)
+        ),
+    )
 
 
 def in_sigma(f: Transformation, p: SetPartition) -> bool:

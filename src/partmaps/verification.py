@@ -47,7 +47,6 @@ from .cycles import (
 from .enumeration import chi_classes, iter_idempotents, iter_sigma, iter_t, iter_units
 from .membership import (
     character,
-    block_map_family,
     in_sigma,
     in_units,
     is_e_star_preserving,
@@ -323,17 +322,21 @@ def _check_sigma_idempotents(sigma_idem, p, data, label):
 
 def _check_t_idempotents(t_idem, p, data, label):
     # per idempotent: its character, then the block map of each block in
-    # the character's image; ``cases[i]`` is (f, None) or (f, block index)
+    # the character's image, an idempotent selfmap of block i when every
+    # point of the block lands in block i on a fixed point of f;
+    # ``cases[i]`` is (f, None) or (f, block index)
+    idx = p.block_index
+    blocks = p.blocks
     cases: list[tuple[Transformation, int | None]] = []
     flags: list[bool] = []
     for f in data["e_t"]:
         chi = character(f, p)
         cases.append((f, None))
         flags.append(chi.is_idempotent())
-        family = block_map_family(f, p)
+        img = f.images
         for i in set(chi.images):
             cases.append((f, i))
-            flags.append(family[i].is_idempotent())
+            flags.append(all(idx[img[x]] == i and img[img[x]] == img[x] for x in blocks[i]))
 
     def describe(k: int) -> str:
         f, i = cases[k]

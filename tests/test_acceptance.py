@@ -7,6 +7,7 @@ no tolerances apply anywhere.
 import random
 import time
 
+from brute_census import brute_census
 from partmaps.cli import main
 from partmaps.core import (
     SetPartition,
@@ -67,22 +68,23 @@ def _is_full_cycle(images):
 def test_criterion_01_formula_oracle_census():
     checked = 0
     for n in range(1, 7):
-        for p in iter_partitions(n):
+        # brute T, filtered by in_sigma, in_units and is_idempotent
+        for p, members in brute_census(n):
             checked += 1
             profile = profile_of(p)
-            t_maps = enumerate_t(p, strategy="brute").maps
+            t_maps = members["T"]
             assert t_maps == enumerate_t(p, strategy="constructive").maps, p
             assert len(t_maps) == count_t(profile), p
 
-            sigma = [f for f in t_maps if in_sigma(f, p)]
+            sigma = members["Sigma"]
             assert sigma == enumerate_sigma(p).maps, p
             assert len(sigma) == count_sigma_direct(p) == count_sigma_grouped(profile), p
 
-            units = [f for f in t_maps if in_units(f, p)]
+            units = members["S"]
             assert units == enumerate_units(p).maps, p
             assert len(units) == count_units(profile), p
 
-            e_sigma = [f for f in sigma if is_idempotent(f)]
+            e_sigma = members["E-Sigma"]
             assert e_sigma == enumerate_idempotents(p, ambient="sigma").maps, p
             assert len(e_sigma) == count_sigma_idempotents(profile), p
     _report(1, "formula-oracle census n<=6", checked == 278, f"{checked} partitions, exact equality")

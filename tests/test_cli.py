@@ -368,7 +368,8 @@ class TestQuotient:
 
             return wrapper
 
-        names = ("_trusted_chi_class", "_trusted_character", "_store_images")
+        monkeypatch.setattr(ChiClass, "__init__", counted("ChiClass", ChiClass.__init__))
+        names = ("_trusted_character", "_store_images")
         bound = 0
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] != "partmaps":
@@ -509,6 +510,23 @@ class TestFindPartition:
         payload = json.loads(out)
         assert payload["partition"] == "0,2|1,3"
         assert payload["verified"] is True
+
+    def test_csv_witness(self, capsys):
+        code, out, _ = run(capsys, "find-partition", "-f", "1,0,3,2,4", "--format", "csv")
+        assert (code, out) == (0, "partition\n\"0,1|2,3,4\"\n")
+        assert list(csv.reader(io.StringIO(out))) == [["partition"], ["0,1|2,3,4"]]
+
+    def test_csv_none_exits_one(self, capsys):
+        code, out, _ = run(capsys, "find-partition", "-f", "1,2,3,4,0", "--format", "csv")
+        assert (code, out) == (1, "partition\nnone\n")
+
+    def test_csv_failed_recheck_keeps_exit_code_and_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "in_units", lambda f, p: False)
+        code, out, err = run(
+            capsys, "find-partition", "-f", "1,2,3,0", "--verify", "--format", "csv"
+        )
+        assert (code, out) == (1, "partition\n\"0,2|1,3\"\n")
+        assert "witness failed the membership re-check" in err
 
 
 class TestVerify:

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import time
 import weakref
 
@@ -215,6 +216,21 @@ class TestProfile:
         with pytest.raises(ValueError, match="must be positive"):
             PartitionProfile(((0, 2),))
 
+    @pytest.mark.parametrize(
+        "entries, bad",
+        [
+            (((2.9, 1.7),), "block size 2.9"),
+            ((("3", 1),), "block size '3'"),
+            (((True, 2),), "block size True"),
+            (((2, True),), "multiplicity True of size 2"),
+            (((1, 2), (3, 1.0)), "multiplicity 1.0 of size 3"),
+        ],
+    )
+    def test_rejects_non_int_entries(self, entries, bad):
+        # no coercion: 2.9 is not read as size 2, nor True as 1
+        with pytest.raises(ValueError, match=re.escape(bad) + " is not an int"):
+            PartitionProfile(entries)
+
     @given(partitions())
     def test_invariant_under_block_reordering(self, p):
         reordered = SetPartition(tuple(reversed(p.blocks)))
@@ -222,7 +238,7 @@ class TestProfile:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_validated_constructor(self, n):
-        # profile_of builds through the trusted builder and a cache
+        # profile_of builds through a per-profile cache
         for p in iter_partitions(n):
             sizes = [len(b) for b in p.blocks]
             expected = PartitionProfile(tuple((s, sizes.count(s)) for s in set(sizes)))
@@ -334,6 +350,18 @@ class TestSetPartitionType:
 
 
 class TestCharacterMapType:
+    @pytest.mark.parametrize(
+        "images, bad",
+        [
+            ((True, 0), "block image True of block 0"),
+            ((0.0,), "block image 0.0 of block 0"),
+            ((0, "1"), "block image '1' of block 1"),
+        ],
+    )
+    def test_rejects_non_int_images(self, images, bad):
+        with pytest.raises(ValueError, match=re.escape(bad) + " is not an int"):
+            CharacterMap(images)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             CharacterMap((0, 2))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from brute_census import brute_census
 from partmaps import core, enumeration
 from partmaps.cli import main
 from partmaps.core import (
@@ -35,7 +36,7 @@ from partmaps.enumeration import (
     iter_t,
     iter_units,
 )
-from partmaps.membership import character, in_sigma, in_units, is_idempotent
+from partmaps.membership import character, in_sigma
 from partmaps.verification import run_verification
 from strategies import partitions
 
@@ -313,16 +314,9 @@ def stage_points(monkeypatch):
 class TestCompiledKernels:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_short_stages_equal_brute_force(self, stage_points, n):
-        # one brute scan per partition serves both stage lengths
-        for p in iter_partitions(n):
-            t = list(iter_t(p, "brute"))
-            sigma = [f for f in t if in_sigma(f, p)]
-            expected = {
-                "T": t,
-                "Sigma": sigma,
-                "S": [f for f in sigma if in_units(f, p)],
-                "E-Sigma": [f for f in sigma if is_idempotent(f)],
-            }
+        # one brute scan per partition, shared with acceptance criterion 01,
+        # serves both stage lengths
+        for p, expected in brute_census(n):
             for points in (2, 3):
                 stage_points(points)
                 for set_name, members in expected.items():

@@ -315,8 +315,8 @@ def t_members(n_max):
 
 
 class TestTrustedResults:
-    """``character`` and ``block_map_family`` skip validation; their results
-    must be indistinguishable from validated ones."""
+    """``character`` skips validation and ``block_map_family`` builds on it;
+    their results must be indistinguishable from validated ones."""
 
     def test_character_equals_the_validated_map(self):
         for p, f in t_members(5):
