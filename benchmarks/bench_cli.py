@@ -24,6 +24,16 @@ milliseconds, are medians of the repetitions except the first:
 * ``quotient7_json_ms``: ``quotient --format json`` on 7 singletons;
 * ``chi_classes7_ms``: ``enumeration.chi_classes`` on 7 singletons alone.
 
+Three more metrics time the library's construction paths alone, in
+microseconds per object, as medians over 11 passes:
+
+* ``parse_partition_us``: ``parse_partition`` on the text of every
+  partition with n <= 7 (1 082 texts);
+* ``set_partition_us``: ``SetPartition`` on the blocks of the same
+  partitions;
+* ``parse_transformation_us``: ``parse_transformation`` on the text of
+  every map with n <= 4 (288 texts).
+
 The exit code of every call is recorded, and all repetitions of a call
 must print the same stdout.
 """
@@ -38,7 +48,8 @@ import io, json, statistics
 from contextlib import redirect_stderr, redirect_stdout
 from time import perf_counter
 from partmaps import cli
-from partmaps.core import parse_partition
+from itertools import product
+from partmaps.core import SetPartition, iter_partitions, parse_partition, parse_transformation
 from partmaps.enumeration import chi_classes
 
 def call(argv):
@@ -84,6 +95,21 @@ for _ in range(11):
     times.append(perf_counter() - start)
 assert len(classes) == 5040
 out["chi_classes7_ms"] = statistics.median(times) * 1e3
+
+def median_us(build, inputs):
+    times = []
+    for _ in range(11):
+        start = perf_counter()
+        for arg in inputs:
+            build(arg)
+        times.append(perf_counter() - start)
+    return statistics.median(times) / len(inputs) * 1e6
+
+partitions = [q for n in range(1, 8) for q in iter_partitions(n)]
+maps = [",".join(map(str, f)) for n in range(1, 5) for f in product(range(n), repeat=n)]
+out["parse_partition_us"] = median_us(parse_partition, [str(q) for q in partitions])
+out["set_partition_us"] = median_us(SetPartition, [q.blocks for q in partitions])
+out["parse_transformation_us"] = median_us(parse_transformation, maps)
 print(json.dumps(out))
 """
 
@@ -106,6 +132,9 @@ METRICS = (
     "quotient7_mixed_ms",
     "quotient7_json_ms",
     "chi_classes7_ms",
+    "parse_partition_us",
+    "set_partition_us",
+    "parse_transformation_us",
 )
 
 
@@ -116,7 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         code=MEASURE,
         argv=[],
         metrics=METRICS,
-        benchmark="in-process cli.main calls, per-call medians, and chi_classes on 7 blocks",
+        benchmark=(
+            "in-process cli.main calls, per-call medians, chi_classes on 7 blocks, "
+            "and the parsers and SetPartition per object"
+        ),
         script="benchmarks/bench_cli.py",
     )
 

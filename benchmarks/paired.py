@@ -10,8 +10,11 @@ slow drift of a shared machine hits all of them alike.
 The JSON holds every sample, the median and the quartiles per tree and
 metric, the non-metric fields of each tree's last sample, and the machine
 and Python that ran them.  With two or more trees it also gives, for each
-later tree, the ratio of its median to the first tree's and the number of
-rounds in which it was faster.
+later tree, the ratio of its median to the first tree's, the number of
+rounds in which it was faster, and the median and quartiles of its per-round
+ratio to the first tree.  The trees of one round run seconds apart, so that
+ratio cancels the slow swings of a shared machine's speed, which move the
+raw samples of every tree together.
 """
 
 from __future__ import annotations
@@ -62,9 +65,13 @@ def measure(src: str, code: str, argv: list[str]) -> dict:
     return json.loads(out)
 
 
-def summary(samples: list[float]) -> dict:
+def quartiles(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "samples": samples}
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summary(samples: list[float]) -> dict:
+    return {**quartiles(samples), "samples": samples}
 
 
 def compare(
@@ -131,6 +138,9 @@ def compare(
                 / statistics.median(samples[base][m]),
                 "rounds_faster": sum(
                     a < b for a, b in zip(samples[label][m], samples[base][m])
+                ),
+                "round_ratio": quartiles(
+                    [a / b for a, b in zip(samples[label][m], samples[base][m])]
                 ),
             }
             for m in metrics

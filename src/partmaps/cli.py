@@ -53,16 +53,19 @@ from .membership import (
 )
 from .verification import run_verification
 
-PREDICATES = (
-    "preserves",
-    "sigma",
-    "sigma-character",
-    "sigma-topology",
-    "estar",
-    "units",
-    "idempotent",
-    "sigma-idempotent",
-)
+# predicate name -> predicate(f, p); ``idempotent`` ignores p.  Each entry
+# looks its function up when called, so a wrapper put on the module name (a
+# tracer's, say) sees the call
+PREDICATES = {
+    "preserves": lambda f, p: preserves(f, p),
+    "sigma": lambda f, p: in_sigma(f, p),
+    "sigma-character": lambda f, p: sigma_via_character(f, p),
+    "sigma-topology": lambda f, p: sigma_via_topology(f, p),
+    "estar": lambda f, p: is_e_star_preserving(f, p),
+    "units": lambda f, p: in_units(f, p),
+    "idempotent": lambda f, p: is_idempotent(f),
+    "sigma-idempotent": lambda f, p: sigma_idempotent_via_blocks(f, p),
+}
 
 SETS = ("T", "Sigma", "S", "E-Sigma", "E-T")
 
@@ -81,22 +84,6 @@ def _emit_json(payload: dict) -> None:
 def _emit_csv(rows: list[Sequence[str]]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerows(rows)
-
-
-def _apply_predicate(name: str, f: Transformation, p: SetPartition | None) -> bool:
-    if name == "idempotent":
-        return is_idempotent(f)
-    assert p is not None
-    table = {
-        "preserves": preserves,
-        "sigma": in_sigma,
-        "sigma-character": sigma_via_character,
-        "sigma-topology": sigma_via_topology,
-        "estar": is_e_star_preserving,
-        "units": in_units,
-        "sigma-idempotent": sigma_idempotent_via_blocks,
-    }
-    return table[name](f, p)
 
 
 def _false_reason(name: str, f: Transformation, p: SetPartition | None) -> str:
@@ -126,7 +113,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.partition is None and args.predicate != "idempotent":
         raise ParseError(f"predicate {args.predicate!r} needs a partition (-p)")
     p = None if args.partition is None else parse_partition(args.partition, f.n)
-    result = _apply_predicate(args.predicate, f, p)
+    result = PREDICATES[args.predicate](f, p)
     if args.format == "json":
         payload = {
             "command": "check",

@@ -9,14 +9,17 @@ points inside a block ascending.
 Composition is left to right everywhere in this package: x(fg) = (xf)g,
 so ``compose(f, g)`` applies f first.
 
-The public constructors and parsers validate their input in full: every
-point, image, block size and multiplicity must be an ``int`` (``bool`` is
-rejected) in range.  Three private builders skip that work on tables that
-are valid by construction, each on a path whose cost a workload measures:
+Each type is checked in one place, and both of its routes call that check:
+``_image_table`` for maps and ``_canonical_blocks`` for partitions.  The
+public constructors call it on the objects they are given; the parsers turn
+text into ints and call the same check.  So a fault reads the same from the
+library and from the CLI: every point and image must be an ``int`` (``bool``
+is rejected) in range, every block nonempty, every point present once.
+Three private builders skip that work on tables that are valid by
+construction, each on a path whose cost a workload measures:
 
 * ``_trusted_transformation``: the maps of the brute-force scan,
-  composites, inverses and the tables the parsers have already checked
-  point by point;
+  composites, inverses and the tables the parsers have checked;
 * ``_trusted_partition``: the partitions that ``iter_partitions`` yields
   and that ``parse_partition`` has checked;
 * ``_trusted_character``: the character that ``membership.character``
@@ -30,8 +33,8 @@ profiles and block maps included, goes through its validating constructor.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -79,16 +82,7 @@ class Transformation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        n = len(images)
-        if n == 0:
-            raise ValueError("transformation needs a nonempty ground set")
-        for x, y in enumerate(images):
-            if type(y) is not int:
-                raise ValueError(f"image {y!r} of point {x} is not an int")
-            if not 0 <= y < n:
-                raise ValueError(f"image {y} of point {x} out of range for n={n}")
+        object.__setattr__(self, "images", _image_table(self.images))
 
     @property
     def n(self) -> int:
@@ -130,27 +124,17 @@ class SetPartition:
     Blocks are pairwise disjoint, nonempty, and cover the ground set.  The
     constructor accepts blocks in any order and canonicalizes: blocks sorted
     ascending by minimum element, points inside each block ascending.
+    ``block_index`` maps each point to the index of its block; it is set
+    on construction and takes no part in equality, hashing or repr.
     """
 
     blocks: tuple[tuple[int, ...], ...]
+    block_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = [tuple(b) for b in self.blocks]
-        seen = set()
-        for b in blocks:
-            if not b:
-                raise ValueError("empty block")
-            for x in b:
-                if type(x) is not int:
-                    raise ValueError(f"point {x!r} is not an int")
-                if x in seen:
-                    raise ValueError(f"duplicate point {x}")
-                seen.add(x)
-        n = len(seen)
-        for x in range(n):
-            if x not in seen:
-                raise ValueError(f"points must be exactly 0..{n - 1}: missing {x}")
-        object.__setattr__(self, "blocks", tuple(sorted(tuple(sorted(b)) for b in blocks)))
+        blocks, block_index = _canonical_blocks(self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "block_index", block_index)
 
     @property
     def n(self) -> int:
@@ -160,16 +144,6 @@ class SetPartition:
     def m(self) -> int:
         """Number of blocks."""
         return len(self.blocks)
-
-    @cached_property
-    def block_index(self) -> tuple[int, ...]:
-        """Lookup table: point -> index of the block containing it."""
-        total = sum(len(b) for b in self.blocks)
-        idx = [0] * total
-        for i, b in enumerate(self.blocks):
-            for x in b:
-                idx[x] = i
-        return tuple(idx)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -356,6 +330,67 @@ class BlockMapFamily:
         return Transformation(tuple(images))
 
 
+def _image_table(images) -> tuple[int, ...]:
+    """``images`` as a tuple, once it is a valid image table; else ``ValueError``.
+
+    The table must be nonempty and hold ``int`` images (``bool`` is
+    rejected) in 0..n-1, where n is its length.  This is the one check of a
+    map: ``Transformation`` and ``parse_transformation`` both call it.
+    """
+    images = tuple(images)
+    n = len(images)
+    if n == 0:
+        raise ValueError("transformation needs a nonempty ground set")
+    for x, y in enumerate(images):
+        if type(y) is not int:
+            raise ValueError(f"image {y!r} of point {x} is not an int")
+        if not 0 <= y < n:
+            raise ValueError(f"image {y} out of range for n={n}")
+    return images
+
+
+def _canonical_blocks(
+    blocks, n: int | None = None
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The canonical blocks of a valid partition and its point -> block table.
+
+    Raises ``ValueError`` unless the blocks are nonempty and hold ``int``
+    points (``bool`` is rejected) that cover 0..n-1, each once.  With
+    ``n=None`` the ground set runs up to the largest point.  This is the
+    one check of a partition: ``SetPartition`` and ``parse_partition``
+    both call it.
+    """
+    blocks = tuple(map(tuple, blocks))
+    if not blocks:
+        raise ValueError("partition needs a nonempty ground set")
+    for block in blocks:
+        if not block:
+            raise ValueError("empty block")
+        for x in block:
+            if type(x) is not int:
+                raise ValueError(f"point {x!r} is not an int")
+    # disjoint nonempty blocks sort by their minima once each block is sorted
+    canonical = tuple(sorted(map(tuple, map(sorted, blocks))))
+    if n is None:
+        n = max([block[-1] for block in canonical]) + 1
+    # the table holds one slot per point given, plus one: a larger n or point
+    # could only leave more slots empty, so the table never outgrows the input
+    slots = min(n, sum(map(len, canonical)) + 1)
+    block_index = [-1] * slots
+    for i, block in enumerate(canonical):
+        for x in block:
+            if not 0 <= x < slots:
+                if 0 <= x < n:
+                    continue  # in range, past the table: a smaller point is missing
+                raise ValueError(f"point {x} out of range for n={n}")
+            if block_index[x] >= 0:
+                raise ValueError(f"duplicate point {x}")
+            block_index[x] = i
+    if -1 in block_index:
+        raise ValueError(f"missing point {block_index.index(-1)}")
+    return canonical, tuple(block_index)
+
+
 _new = object.__new__
 _set = object.__setattr__
 # stores a table into a bare ``Transformation``, past the frozen ``__setattr__``;
@@ -418,28 +453,33 @@ def _profile_of_sizes(sizes: tuple[int, ...]) -> PartitionProfile:
     return PartitionProfile(tuple(Counter(sizes).items()))
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated ints of ``text``; blank text holds none."""
+    tokens = text.split(",")
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        if not text.strip():
+            return ()
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise ParseError(f"invalid {what} {tok.strip()!r}") from None
+
+
 def parse_transformation(text: str, n: int | None = None) -> Transformation:
     """Parse "1,0,2" into a transformation on n points.
 
     With ``n=None`` the ground set has one point per image given.
     """
-    tokens = [t.strip() for t in text.split(",")]
-    if n is None:
-        n = len(tokens)
-    if n < 1:
-        raise ParseError("ground-set size must be positive")
-    if len(tokens) != n:
-        raise ParseError(f"expected {n} images, got {len(tokens)}")
-    images = []
-    for tok in tokens:
-        try:
-            y = int(tok)
-        except ValueError:
-            raise ParseError(f"invalid image {tok!r}") from None
-        if not 0 <= y < n:
-            raise ParseError(f"image {y} out of range for n={n}")
-        images.append(y)
-    return _trusted_transformation(tuple(images))
+    images = _parse_ints(text, "image")
+    if n is not None and len(images) != n:
+        raise ParseError(f"expected {n} images, got {len(images)}")
+    try:
+        return _trusted_transformation(_image_table(images))
+    except ValueError as exc:
+        raise ParseError(*exc.args) from None
 
 
 def parse_partition(text: str, n: int | None = None) -> SetPartition:
@@ -447,40 +487,11 @@ def parse_partition(text: str, n: int | None = None) -> SetPartition:
 
     With ``n=None`` the ground set runs up to the largest point given.
     """
-    blocks: list[list[int]] = []
-    for chunk in text.split("|"):
-        if not chunk.strip():
-            raise ParseError("empty block in partition text")
-        block: list[int] = []
-        for tok in chunk.split(","):
-            tok = tok.strip()
-            try:
-                block.append(int(tok))
-            except ValueError:
-                raise ParseError(f"invalid point {tok!r}") from None
-        blocks.append(block)
-    if n is None:
-        n = max(max(block) for block in blocks) + 1
-    if n < 1:
-        raise ParseError("ground-set size must be positive")
-    seen: set[int] = set()
-    for block in blocks:
-        for x in block:
-            if not 0 <= x < n:
-                raise ParseError(f"point {x} out of range for n={n}")
-            if x in seen:
-                raise ParseError(f"duplicate point {x}")
-            seen.add(x)
-    if len(seen) != n:
-        missing = next(x for x in range(n) if x not in seen)
-        raise ParseError(f"missing point {missing}")
-    # disjoint nonempty blocks sort by their minima once each block is sorted
-    canonical = sorted(tuple(sorted(block)) for block in blocks)
-    index = [0] * n
-    for i, block in enumerate(canonical):
-        for x in block:
-            index[x] = i
-    return _trusted_partition(tuple(canonical), tuple(index))
+    blocks = [_parse_ints(chunk, "point") for chunk in text.split("|")]
+    try:
+        return _trusted_partition(*_canonical_blocks(blocks, n))
+    except ValueError as exc:
+        raise ParseError(*exc.args) from None
 
 
 def format_transformation(f: Transformation) -> str:

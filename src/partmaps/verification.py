@@ -95,11 +95,7 @@ class _Tally:
         ``describe`` runs before ``check`` returns, so a lambda closing over
         loop variables sees the values of the failing case.
         """
-        self.cases += 1
-        if not ok:
-            self.failures += 1
-            if len(self.examples) < 3:
-                self.examples.append(describe())
+        self.check_all((ok,), lambda i: describe())
 
     def check_all(self, flags: Iterable[bool], describe: Callable[[int], str]) -> None:
         """Count one case per pass flag; ``describe(i)`` builds the text of case i.

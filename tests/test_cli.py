@@ -8,6 +8,7 @@ from math import factorial, prod
 
 import pytest
 
+import bad_input
 import oracles
 from partmaps import cli
 from partmaps.cli import PREDICATES, main
@@ -582,6 +583,19 @@ class TestGuardArgument:
     def test_guard_of_one_is_accepted(self, capsys):
         code, out, _ = run(capsys, "count", "--profile", "2:1,1:1", "--set", "T", "--guard", "1")
         assert (code, out) == (0, "15\n")
+
+
+class TestBadInputParity:
+    # the CLI names each fault with the text the constructors raise
+    # (tests/test_core.py checks the constructors against the same corpus)
+
+    @pytest.mark.parametrize("case, blocks, text, message", bad_input.PARTITIONS)
+    def test_partition(self, capsys, case, blocks, text, message):
+        assert run(capsys, "quotient", f"--partition={text}") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("case, images, text, message", bad_input.MAPS)
+    def test_map(self, capsys, case, images, text, message):
+        assert run(capsys, "find-partition", f"--map={text}") == (2, "", f"error: {message}\n")
 
 
 class TestUsageErrors:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bad_input
 import oracles
 from partmaps.core import (
     CACHE_SIZE,
@@ -154,6 +155,53 @@ class TestParsersMatchValidatedConstructors:
                 assert type(got) is Transformation
                 assert got == expected and got.images == images
                 assert hash(got) == hash(expected)
+
+
+# no text spells these, so only the constructors see them
+NOT_INTS = [
+    (SetPartition, ((0,), (True,)), "point True is not an int"),
+    (SetPartition, ((0, 1.0),), "point 1.0 is not an int"),
+    (Transformation, (0, False), "image False of point 1 is not an int"),
+    (Transformation, (0.0,), "image 0.0 of point 0 is not an int"),
+]
+
+
+def _message(build, arg):
+    with pytest.raises(ValueError) as info:
+        build(arg)
+    return str(info.value)
+
+
+class TestBadInputParity:
+    @pytest.mark.parametrize("case, blocks, text, message", bad_input.PARTITIONS)
+    def test_partition(self, case, blocks, text, message):
+        assert _message(SetPartition, blocks) == message
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_partition(text)
+
+    @pytest.mark.parametrize("case, images, text, message", bad_input.MAPS)
+    def test_map(self, case, images, text, message):
+        assert _message(Transformation, images) == message
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_transformation(text)
+
+    @pytest.mark.parametrize("build, arg, message", NOT_INTS)
+    def test_constructor_rejects_non_ints(self, build, arg, message):
+        assert _message(build, arg) == message
+
+    def test_explicit_ground_set(self):
+        # the size a caller passes is checked by the same code as an inferred one
+        assert _message(lambda t: parse_partition(t, 3), "0,1|5") == "point 5 out of range for n=3"
+        assert _message(lambda t: parse_partition(t, 4), "0,2|3") == "missing point 1"
+        assert _message(lambda t: parse_partition(t, 10**12), "0|1") == "missing point 2"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_route_builds_the_same_partition(self, n):
+        for p in iter_partitions(n):
+            for twin in (SetPartition(p.blocks), parse_partition(str(p))):
+                assert twin == p and hash(twin) == hash(p)
+                assert twin.block_index == p.block_index
+                assert repr(twin) == repr(p)
 
 
 class TestCompose:
@@ -314,12 +362,16 @@ class TestSetPartitionType:
             SetPartition(((0, 1), (1, 2)))
 
     def test_rejects_gaps(self):
-        with pytest.raises(ValueError, match="missing 1"):
+        with pytest.raises(ValueError, match="missing point 1"):
             SetPartition(((0,), (2,)))
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError, match="empty block"):
             SetPartition(((0, 1), ()))
+
+    def test_rejects_the_empty_partition(self):
+        with pytest.raises(ValueError, match="partition needs a nonempty ground set"):
+            SetPartition(())
 
     @pytest.mark.parametrize(
         "blocks", [((0,), (1.0,)), ((0, True),), ((False,), (1,)), ((0,), ("1",))]
