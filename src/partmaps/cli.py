@@ -41,6 +41,7 @@ from .counting import count_sigma_grouped, log10_count
 from .cycles import find_preserved_partition, preserved_m_partition_exists
 from .enumeration import _class_count, _class_table, _collect, _member_count
 from .membership import (
+    _require_same_n,
     character,
     in_sigma,
     in_units,
@@ -112,7 +113,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     f = parse_transformation(args.map)
     if args.partition is None and args.predicate != "idempotent":
         raise ParseError(f"predicate {args.predicate!r} needs a partition (-p)")
-    p = None if args.partition is None else parse_partition(args.partition, f.n)
+    p = None
+    if args.partition is not None:
+        # parsed on its own points, so a size mismatch reads as the library
+        # names it, for every predicate (``idempotent`` included)
+        p = parse_partition(args.partition)
+        _require_same_n(f, p)
     result = PREDICATES[args.predicate](f, p)
     if args.format == "json":
         payload = {
@@ -262,7 +268,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 def cmd_character(args: argparse.Namespace) -> int:
     f = parse_transformation(args.map)
-    p = parse_partition(args.partition, f.n)
+    p = parse_partition(args.partition)
     chi = character(f, p)
     if args.format == "json":
         _emit_json(
@@ -356,9 +362,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``main`` call.
 
-    Parsing keeps no state in the parser: each call gets a fresh namespace,
-    and help and usage errors go to the ``sys.stdout`` and ``sys.stderr`` of
-    that call.
+    Its ``commands`` attribute maps each subcommand name to that
+    subcommand's parser; ``main`` hands a call straight to it, and clearing
+    this cache rebuilds both.  Parsing keeps no state in the parser: each
+    call gets a fresh namespace, and help and usage errors go to the
+    ``sys.stdout`` and ``sys.stderr`` of that call.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -423,11 +431,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, required=True, dest="n_max")
     p_verify.set_defaults(func=cmd_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the top-level parser would, skipping its own pass.
+
+    When argv starts with a subcommand, the top-level pass only hands the
+    rest of argv to that subcommand's parser, so this calls it directly, as
+    argparse's subparsers action does, and reports leftovers with the
+    top-level parser's text.  Anything else (no arguments, ``-h``, an
+    unknown command) goes through the top-level parser for its help, usage
+    and error text.
+    """
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # reject a bad guard even where the subcommand never consults it
         check_guard(0, args.guard, "nothing")

@@ -1,7 +1,9 @@
 """Bad partitions and maps, each with the one message the library and the CLI give.
 
-Each entry is (case, the object the constructor takes, the text the parser
-takes, the message).
+Each entry of PARTITIONS and MAPS is (case, the object the constructor
+takes, the text the parser takes, the message).  Each entry of
+SIZE_MISMATCHES is (case, map text, partition text, the message every
+predicate on the pair raises): both are valid alone, on different points.
 """
 
 PARTITIONS = [
@@ -20,4 +22,8 @@ MAPS = [
     ("negative image", (0, -1), "0,-1", "image -1 out of range for n=2"),
     ("too large", (0, 3, 1), "0,3,1", "image 3 out of range for n=3"),
     ("one image short", (1, 2), "1,2", "image 2 out of range for n=2"),
+]
+SIZE_MISMATCHES = [
+    ("partition larger", "0,1,2", "0,1|2,3", "ground sets differ: map on 3 points, partition of 4"),
+    ("partition smaller", "0,1,2", "0,1", "ground sets differ: map on 3 points, partition of 2"),
 ]

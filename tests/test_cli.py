@@ -25,7 +25,7 @@ from partmaps.core import (
 )
 from partmaps.counting import count_sigma_grouped, count_sigma_idempotents, count_t, count_units
 from partmaps.enumeration import ChiClass, chi_classes
-from partmaps.membership import in_sigma
+from partmaps.membership import in_sigma, preserves
 
 
 def run(capsys, *argv):
@@ -597,6 +597,24 @@ class TestBadInputParity:
     def test_map(self, capsys, case, images, text, message):
         assert run(capsys, "find-partition", f"--map={text}") == (2, "", f"error: {message}\n")
 
+    @staticmethod
+    def library_error(f_text, p_text):
+        with pytest.raises(ValueError) as info:
+            preserves(parse_transformation(f_text), parse_partition(p_text))
+        return f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    @pytest.mark.parametrize("case, f_text, p_text, message", bad_input.SIZE_MISMATCHES)
+    def test_size_mismatch_in_check(self, capsys, predicate, case, f_text, p_text, message):
+        # idempotent ignores the partition, yet a wrong-sized one is still an input error
+        argv = ["check", "-p", p_text, "-f", f_text, "--predicate", predicate]
+        assert run(capsys, *argv) == (2, "", self.library_error(f_text, p_text))
+
+    @pytest.mark.parametrize("case, f_text, p_text, message", bad_input.SIZE_MISMATCHES)
+    def test_size_mismatch_in_character(self, capsys, case, f_text, p_text, message):
+        argv = ["character", "-p", p_text, "-f", f_text]
+        assert run(capsys, *argv) == (2, "", self.library_error(f_text, p_text))
+
 
 class TestUsageErrors:
     def test_unknown_set_exits_two(self):
@@ -654,6 +672,86 @@ class TestParserReuse:
             assert run(capsys, "count", "--profile", "2:1", "--set", "T")[:2] == (0, "4\n")
         assert cli._build_parser.cache_info().misses == 1
         assert cli._build_parser.cache_info().hits == 2
+
+    def test_cache_clear_rebuilds_the_command_table(self, capsys, monkeypatch):
+        old = cli._build_parser()
+        cli._build_parser.cache_clear()
+        new = cli._build_parser()
+        assert new is not old
+        assert list(new.commands) == list(old.commands)
+        assert all(new.commands[name] is not old.commands[name] for name in old.commands)
+        # main parses with the rebuilt table, not the old one
+        for name, sub in old.commands.items():
+            monkeypatch.setattr(sub, "parse_known_args", None)
+        assert run(capsys, "count", "--profile", "2:1", "--set", "T")[:2] == (0, "4\n")
+
+
+class TestDispatchParity:
+    # main hands a call that starts with a subcommand straight to that
+    # subcommand's parser; every argv must parse, or fail, exactly as the
+    # top-level parser's parse_args does.  None marks an accepted argv,
+    # otherwise the SystemExit code
+    ARGVS = [
+        (["check", "-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma"], None),
+        (["check", "--partition", "0,1|2", "--map", "2,2,0", "--predicate", "estar",
+          "--format", "json", "--guard", "7", "--limit", "3"], None),
+        (["check", "-f", "0,1", "--predicate", "idempotent"], None),
+        (["check", "-p", "0|1", "-f", "0,1", "--pred", "units"], None),
+        (["check", "-p", "0|1", "-f", "0,1", "--pred=units", "--form=csv"], None),
+        (["check", "-p0|1", "-f1,0", "--predicate", "sigma", "--predicate", "units"], None),
+        (["count", "--profile", "2:1,1:1", "--set", "T"], None),
+        (["count", "-p", "0|1", "--set", "S", "--format=csv", "--set", "E-Sigma"], None),
+        (["enumerate", "--partition=0|1", "--set", "E-T", "--strategy", "brute", "--lim", "2"], None),
+        (["enumerate", "-p", "0,1|2", "--set", "Sigma", "--limit=-1"], None),
+        (["quotient", "-p0|1"], None),
+        (["quotient", "-p", "-1"], None),
+        (["character", "--part", "0|1", "--map=1,0", "--format", "json"], None),
+        (["find-partition", "-f", "1,0", "-m", "2", "--verify"], None),
+        (["find-partition", "--map=1,0", "-m2", "--verif"], None),
+        (["verify", "--n-max", "2"], None),
+        (["verify", "--n-max=2", "--format", "json", "--guard=9"], None),
+        (["check", "-f", "0,1", "--predicate", "idempotent", "--", "x"], 2),
+        (["quotient", "--", "-p", "0|1"], 2),
+        (["quotient", "-p", "0|1", "extra", "--bogus", "-z"], 2),
+        (["quotient", "-p", "0|1", "--bogus=1"], 2),
+        (["count", "--p", "0", "--set", "T"], 2),
+        ([], 2),
+        (["-h"], 0),
+        (["--help"], 0),
+        (["-h", "check"], 0),
+        (["check", "-h"], 0),
+        (["count", "--help"], 0),
+        (["check", "-p", "0|1", "--he"], 0),
+        (["bogus"], 2),
+        (["bogus", "-p", "0"], 2),
+        (["Check", "-f", "0"], 2),
+        (["-p", "0|1", "quotient"], 2),
+        (["check", "-f", "0,1"], 2),
+        (["check", "-f", "0,1", "--predicate", "nope"], 2),
+        (["quotient", "-p", "0", "--guard", "x"], 2),
+        (["quotient", "-p", "0", "--guard"], 2),
+        (["count", "--profile", "1:1", "--set", "Q"], 2),
+        (["find-partition", "-f", "0", "-m", "x"], 2),
+        (["verify"], 2),
+    ]
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv, exit_code", ARGVS)
+    def test_same_as_top_level_parse_args(self, capsys, argv, exit_code):
+        got = self.outcome(capsys, cli._parse_args, argv)
+        assert got == self.outcome(capsys, cli._build_parser().parse_args, argv)
+        if exit_code is None:
+            assert isinstance(got[0], dict) and got[0]["command"] == argv[0]
+        else:
+            assert got[0] == ("SystemExit", exit_code)
 
 
 @pytest.mark.skipif(

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+import bad_input
 import oracles
 from partmaps.core import (
     BlockMap,
@@ -10,6 +11,8 @@ from partmaps.core import (
     Transformation,
     compose,
     iter_partitions,
+    parse_partition,
+    parse_transformation,
 )
 from partmaps.enumeration import iter_t
 from partmaps.membership import (
@@ -53,6 +56,28 @@ class TestPreserves:
     def test_mismatched_n(self):
         with pytest.raises(ValueError, match="ground sets differ"):
             preserves(t(0, 1), P3)
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            preserves,
+            character,
+            block_map_family,
+            in_sigma,
+            sigma_via_character,
+            sigma_via_topology,
+            is_e_star_preserving,
+            character_injective,
+            in_units,
+            sigma_idempotent_via_blocks,
+        ],
+    )
+    @pytest.mark.parametrize("case, f_text, p_text, message", bad_input.SIZE_MISMATCHES)
+    def test_every_predicate_names_a_size_mismatch(self, predicate, case, f_text, p_text, message):
+        f, p = parse_transformation(f_text), parse_partition(p_text)
+        with pytest.raises(ValueError) as info:
+            predicate(f, p)
+        assert str(info.value) == message
 
 
 class TestCharacter:
