@@ -25,7 +25,9 @@ from partmaps.counting import (
     count_t,
     count_units,
 )
-from partmaps.verification import _census, _check_cardinalities, _check_strategies, _Tally
+from partmaps.verification import LAWS, _census, _Tally
+
+CHECKED = ("cardinality-formulas-vs-enumeration", "brute-vs-constructive-enumeration")
 
 
 def main():
@@ -36,10 +38,7 @@ def main():
     )
     args = parser.parse_args()
 
-    laws = [
-        (_Tally("cardinality-formulas-vs-enumeration"), _check_cardinalities),
-        (_Tally("brute-vs-constructive-enumeration"), _check_strategies),
-    ]
+    laws = [(_Tally(name), dict(LAWS)[name]) for name in CHECKED]
     header = f"{'partition':<24} {'|T|':>10} {'|Sigma|':>10} {'|S|':>8} {'|E(Sigma)|':>10}"
     print(header)
     print("-" * len(header))
@@ -56,7 +55,7 @@ def main():
         if args.check:
             data = _census(p, DEFAULT_GUARD)
             for tally, law in laws:
-                tally.run(law, p, data, DEFAULT_GUARD, label)
+                tally.run(law, p, data, DEFAULT_GUARD)
         for i, c in enumerate(counts):
             totals[i] += c
         print(

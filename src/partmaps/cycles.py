@@ -144,8 +144,8 @@ def preserved_m_partition_exists(
     Requires f to be a full cycle and 1 < m < n.  True exactly when m
     divides n; the witness is the progression partition along the cycle.
     """
-    dec = decompose(f)
-    if not dec.is_full_cycle():
+    dec = decompose(f) if f.is_bijection() else None
+    if dec is None or not dec.is_full_cycle():
         raise ValueError("map is not a full cycle over the ground set")
     if not 1 < m < f.n:
         raise ValueError(f"block count m={m} must satisfy 1 < m < n={f.n}")

@@ -2,20 +2,24 @@
 
 Runs every structural law the package relies on over all set partitions of
 all ground sets up to a requested size, using brute-force enumeration as
-the reference on one side of each comparison.  Each law gets one named
-result with a pass flag, a case count and its own wall time in seconds, so
-a caller can render a pass/fail matrix; the run also reports the time
-spent building the shared brute-force census.  Most laws check their
-cases in bulk: the pass flags of many cases come from C-level ``map`` calls
-over the census lists and are counted at once.  Failure text is built only
-for failing cases, and only for the first three of each law.
+the reference on one side of each comparison.  The laws are one table,
+:data:`LAWS`, in report order: each row is a name and a function called
+once per partition as ``law(tally, p, data, guard)``, and a law that
+covers only some partitions returns early on the others, so a new law is
+one new row.  Each law gets one named result with a pass flag, a case
+count and its own wall time in seconds, so a caller can render a
+pass/fail matrix; the run also reports the time spent building the shared
+brute-force census.  Most laws check their cases in bulk: the pass flags
+of many cases come from C-level ``map`` calls over the census lists and
+are counted at once.  Failure text is built only for failing cases, and
+only for the first three of each law.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from math import factorial
 from operator import attrgetter, eq, itemgetter
 from time import perf_counter
@@ -113,10 +117,10 @@ class _Tally:
         for i in failed[: 3 - len(self.examples)]:
             self.examples.append(describe(i))
 
-    def run(self, law: Callable[..., None], *args) -> None:
-        """Run ``law(self, *args)`` and add its wall time to this tally."""
+    def run(self, law: Callable[..., None], p: SetPartition, data: dict, guard: int) -> None:
+        """Run ``law(self, p, data, guard)`` and add its wall time to this tally."""
         start = perf_counter()
-        law(self, *args)
+        law(self, p, data, guard)
         self.seconds += perf_counter() - start
 
     def result(self) -> CheckResult:
@@ -139,122 +143,79 @@ def _census(p: SetPartition, guard: int) -> dict[str, list[Transformation]]:
 
 
 def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
-    """Run the whole harness for every partition of every n up to n_max."""
+    """Run every law of :data:`LAWS` on every partition of every n up to n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     # fail fast instead of grinding through the small ground sets first
     check_guard(n_max**n_max, guard, "brute-force candidate maps at the largest ground set")
-    cardinality = _Tally("cardinality-formulas-vs-enumeration")
-    strategies = _Tally("brute-vs-constructive-enumeration")
-    containment = _Tally("containments-and-idempotent-intersection")
-    four_way = _Tally("sigma-four-way-equivalence")
-    homomorphism = _Tally(f"character-homomorphism(n<={min(n_max, PAIRWISE_N_MAX)})")
-    units_law = _Tally("units-criterion-and-block-images")
-    sigma_idem = _Tally("sigma-idempotent-blockwise")
-    t_idem = _Tally("t-idempotent-character")
-    quotient = _Tally("chi-quotient-classes")
-    divisibility = _Tally("full-cycle-divisibility")
-    uniform = _Tally("full-cycle-units-uniform")
+    k = min(n_max, PAIRWISE_N_MAX)
+    laws = [(_Tally(name.format(k=k)), law) for name, law in LAWS]
     census_seconds = 0.0
-
-    for n in range(1, n_max + 1):
-        for p in iter_partitions(n):
-            start = perf_counter()
-            data = _census(p, guard)
-            census_seconds += perf_counter() - start
-            label = str(p)
-            cardinality.run(_check_cardinalities, p, data, guard, label)
-            strategies.run(_check_strategies, p, data, guard, label)
-            containment.run(_check_containments, data, label)
-            four_way.run(_check_four_way, p, data, label)
-            if n <= PAIRWISE_N_MAX:
-                homomorphism.run(_check_homomorphism, p, data, label)
-            units_law.run(_check_units, p, data, label)
-            sigma_idem.run(_check_sigma_idempotents, p, data, label)
-            t_idem.run(_check_t_idempotents, p, data, label)
-            quotient.run(_check_quotient, p, data, guard, label)
-            uniform.run(_check_full_cycle_units, p, data, label)
-        if n >= 3:
-            divisibility.run(_check_divisibility, n)
-
-    run = VerificationRun(
-        t.result()
-        for t in (
-            cardinality,
-            strategies,
-            containment,
-            four_way,
-            homomorphism,
-            units_law,
-            sigma_idem,
-            t_idem,
-            quotient,
-            divisibility,
-            uniform,
-        )
-    )
+    for p in chain.from_iterable(map(iter_partitions, range(1, n_max + 1))):
+        start = perf_counter()
+        data = _census(p, guard)
+        census_seconds += perf_counter() - start
+        for tally, law in laws:
+            tally.run(law, p, data, guard)
+    run = VerificationRun(tally.result() for tally, _ in laws)
     run.census_seconds = census_seconds
     return run
 
 
-def _check_cardinalities(cardinality, p, data, guard, label):
+def _check_cardinalities(tally, p, data, guard):
     profile = profile_of(p)
-    cardinality.check(len(data["t"]) == count_t(profile), lambda: f"|T| at {label}")
+    tally.check(len(data["t"]) == count_t(profile), lambda: f"|T| at {p}")
     sigma_n = len(data["sigma"])
-    cardinality.check(
-        sigma_n == count_sigma_direct(p, guard), lambda: f"|Sigma| direct at {label}"
-    )
-    cardinality.check(
-        sigma_n == count_sigma_grouped(profile, guard), lambda: f"|Sigma| grouped at {label}"
-    )
-    cardinality.check(len(data["units"]) == count_units(profile), lambda: f"|S| at {label}")
-    cardinality.check(
+    tally.check(sigma_n == count_sigma_direct(p, guard), lambda: f"|Sigma| direct at {p}")
+    tally.check(sigma_n == count_sigma_grouped(profile, guard), lambda: f"|Sigma| grouped at {p}")
+    tally.check(len(data["units"]) == count_units(profile), lambda: f"|S| at {p}")
+    tally.check(
         len(data["e_sigma"]) == count_sigma_idempotents(profile),
-        lambda: f"|E(Sigma)| at {label}",
+        lambda: f"|E(Sigma)| at {p}",
     )
 
 
-def _check_strategies(strategies, p, data, guard, label):
-    strategies.check(
+def _check_strategies(tally, p, data, guard):
+    tally.check(
         data["t"] == list(iter_t(p, strategy="constructive", guard=guard)),
-        lambda: f"T sequences at {label}",
+        lambda: f"T sequences at {p}",
     )
-    strategies.check(
+    tally.check(
         data["sigma"] == list(iter_sigma(p, strategy="constructive", guard=guard)),
-        lambda: f"Sigma sequences at {label}",
+        lambda: f"Sigma sequences at {p}",
     )
-    strategies.check(
+    tally.check(
         data["units"] == list(iter_units(p, strategy="constructive", guard=guard)),
-        lambda: f"unit sequences at {label}",
+        lambda: f"unit sequences at {p}",
     )
-    strategies.check(
+    tally.check(
         data["e_sigma"]
         == list(iter_idempotents(p, ambient="sigma", strategy="constructive", guard=guard)),
-        lambda: f"E(Sigma) sequences at {label}",
+        lambda: f"E(Sigma) sequences at {p}",
     )
 
 
-def _check_containments(containment, data, label):
+def _check_containments(tally, p, data, guard):
     t_set = set(data["t"])
     sigma_set = set(data["sigma"])
-    containment.check(sigma_set <= t_set, lambda: f"Sigma inside T at {label}")
-    containment.check(set(data["units"]) <= sigma_set, lambda: f"units inside Sigma at {label}")
-    containment.check(
+    tally.check(sigma_set <= t_set, lambda: f"Sigma inside T at {p}")
+    tally.check(set(data["units"]) <= sigma_set, lambda: f"units inside Sigma at {p}")
+    tally.check(
         set(data["e_sigma"]) == sigma_set & set(data["e_t"]),
-        lambda: f"E(Sigma) = Sigma intersect E(T) at {label}",
+        lambda: f"E(Sigma) = Sigma intersect E(T) at {p}",
     )
 
 
-def _check_four_way(four_way, p, data, label):
+def _check_four_way(tally, p, data, guard):
     t_maps = data["t"]
     # every route runs on every member of T
     a, b, c, d = (
         list(map(route, t_maps, repeat(p)))
         for route in (in_sigma, sigma_via_character, is_e_star_preserving, sigma_via_topology)
     )
-    four_way.check_all(
+    tally.check_all(
         [w == x == y == z for w, x, y, z in zip(a, b, c, d)],
-        lambda i: f"{t_maps[i]} at {label}",
+        lambda i: f"{t_maps[i]} at {p}",
     )
 
 
@@ -266,7 +227,9 @@ def _reader(table: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ..
     return lambda s: (s[x],)  # itemgetter of one index returns a bare item
 
 
-def _check_homomorphism(homomorphism, p, data, label):
+def _check_homomorphism(tally, p, data, guard):
+    if p.n > PAIRWISE_N_MAX:
+        return
     # chi(fg) = chi(f)chi(g) on image tables: T is closed under composition,
     # so chi(fg) is looked up instead of recomputed once per pair, and a
     # composite outside T finds no entry and fails its case
@@ -276,22 +239,22 @@ def _check_homomorphism(homomorphism, p, data, label):
     lookup = dict(zip(tables, chars)).get
     for f, table, cf in zip(t_maps, tables, chars):
         # one batch per f: case i is the pair (f, g) with g the i-th member
-        homomorphism.check_all(
+        tally.check_all(
             map(eq, map(lookup, map(_reader(table), tables)), map(_reader(cf), chars)),
-            lambda i: f"{f};{t_maps[i]} at {label}",
+            lambda i: f"{f};{t_maps[i]} at {p}",
         )
 
 
-def _check_units(units_law, p, data, label):
+def _check_units(tally, p, data, guard):
     t_maps, units = data["t"], data["units"]
     unit_set = set(units)
-    units_law.check_all(
+    tally.check_all(
         [
             (f in unit_set)
             == (f.is_bijection() and preserves(f, p) and preserves(f.inverse(), p))
             for f in t_maps
         ],
-        lambda i: f"unit criteria disagree on {t_maps[i]} at {label}",
+        lambda i: f"unit criteria disagree on {t_maps[i]} at {p}",
     )
     # one case per unit and block, blocks innermost
     blocks = p.blocks
@@ -301,22 +264,22 @@ def _check_units(units_law, p, data, label):
         for block in blocks:
             image = tuple(sorted(map(get, block)))
             flags.append(image in blocks and len(image) == len(block))
-    units_law.check_all(flags, lambda i: f"block image of {units[i // len(blocks)]} at {label}")
+    tally.check_all(flags, lambda i: f"block image of {units[i // len(blocks)]} at {p}")
 
 
-def _check_sigma_idempotents(sigma_idem, p, data, label):
+def _check_sigma_idempotents(tally, p, data, guard):
     sigma, e_sigma = data["sigma"], data["e_sigma"]
-    sigma_idem.check_all(
+    tally.check_all(
         map(eq, map(is_idempotent, sigma), map(sigma_idempotent_via_blocks, sigma, repeat(p))),
-        lambda i: f"blockwise idempotence of {sigma[i]} at {label}",
+        lambda i: f"blockwise idempotence of {sigma[i]} at {p}",
     )
-    sigma_idem.check_all(
+    tally.check_all(
         map(CharacterMap.is_identity, map(character, e_sigma, repeat(p))),
-        lambda i: f"character of idempotent {e_sigma[i]} at {label}",
+        lambda i: f"character of idempotent {e_sigma[i]} at {p}",
     )
 
 
-def _check_t_idempotents(t_idem, p, data, label):
+def _check_t_idempotents(tally, p, data, guard):
     # per idempotent: its character, then the block map of each block in
     # the character's image, an idempotent selfmap of block i when every
     # point of the block lands in block i on a fixed point of f;
@@ -337,15 +300,15 @@ def _check_t_idempotents(t_idem, p, data, label):
     def describe(k: int) -> str:
         f, i = cases[k]
         if i is None:
-            return f"character of {f} at {label}"
-        return f"block map {i} of {f} at {label}"
+            return f"character of {f} at {p}"
+        return f"block map {i} of {f} at {p}"
 
-    t_idem.check_all(flags, describe)
+    tally.check_all(flags, describe)
 
 
-def _check_quotient(quotient, p, data, guard, label):
+def _check_quotient(tally, p, data, guard):
     classes = chi_classes(p, guard=guard)
-    quotient.check(len(classes) == factorial(p.m), lambda: f"class count at {label}")
+    tally.check(len(classes) == factorial(p.m), lambda: f"class count at {p}")
     grouped = Counter(map(attrgetter("images"), map(character, data["sigma"], repeat(p))))
     # two cases per class: its size, then its representative
     flags: list[bool] = []
@@ -357,23 +320,27 @@ def _check_quotient(quotient, p, data, guard, label):
     def describe(k: int) -> str:
         chi = classes[k // 2].character
         if k % 2 == 0:
-            return f"class {chi} size at {label}"
-        return f"representative of {chi} at {label}"
+            return f"class {chi} size at {p}"
+        return f"representative of {chi} at {p}"
 
-    quotient.check_all(flags, describe)
-    quotient.check(
+    tally.check_all(flags, describe)
+    tally.check(
         sum(cls.size for cls in classes) == len(data["sigma"]),
-        lambda: f"class sizes sum at {label}",
+        lambda: f"class sizes sum at {p}",
     )
 
 
-def _check_divisibility(divisibility, n):
+def _check_divisibility(tally, p, data, guard):
+    # once per ground set of at least 3 points, at its one-block partition
+    n = p.n
+    if n < 3 or p.m > 1:
+        return
     cycle = Transformation(tuple((x + 1) % n for x in range(n)))
     for m in range(2, n):
         exists, witness = preserved_m_partition_exists(cycle, m)
-        divisibility.check(exists == (n % m == 0), lambda: f"existence for n={n}, m={m}")
+        tally.check(exists == (n % m == 0), lambda: f"existence for n={n}, m={m}")
         if exists:
-            divisibility.check(
+            tally.check(
                 witness is not None
                 and witness.m == m
                 and not witness.is_trivial
@@ -381,23 +348,39 @@ def _check_divisibility(divisibility, n):
                 lambda: f"witness for n={n}, m={m}",
             )
         else:
-            divisibility.check(
+            tally.check(
                 search_unit_m_partition(cycle, m) is None,
                 lambda: f"exhaustive search for n={n}, m={m}",
             )
     found = find_preserved_partition(cycle)
     is_prime = _smallest_proper_divisor(n) is None
-    divisibility.check(
-        (found is None) == is_prime, lambda: f"prime-length cycle rule at n={n}"
-    )
+    tally.check((found is None) == is_prime, lambda: f"prime-length cycle rule at n={n}")
 
 
-def _check_full_cycle_units(uniform, p, data, label):
+def _check_full_cycle_units(tally, p, data, guard):
     for f in data["units"]:
         dec = decompose(f)
         if not dec.is_full_cycle():
             continue
         chi = character(f, p)
         chi_dec = decompose(chi.as_transformation())
-        uniform.check(chi_dec.is_full_cycle(), lambda: f"character cycle of {f} at {label}")
-        uniform.check(p.is_uniform, lambda: f"uniformity for {f} at {label}")
+        tally.check(chi_dec.is_full_cycle(), lambda: f"character cycle of {f} at {p}")
+        tally.check(p.is_uniform, lambda: f"uniformity for {f} at {p}")
+
+
+# every law of the harness, in report order: one row per law, each called
+# once per partition as law(tally, p, data, guard); "{k}" in a name stands
+# for the largest ground set the pairwise law reaches
+LAWS: tuple[tuple[str, Callable[..., None]], ...] = (
+    ("cardinality-formulas-vs-enumeration", _check_cardinalities),
+    ("brute-vs-constructive-enumeration", _check_strategies),
+    ("containments-and-idempotent-intersection", _check_containments),
+    ("sigma-four-way-equivalence", _check_four_way),
+    ("character-homomorphism(n<={k})", _check_homomorphism),
+    ("units-criterion-and-block-images", _check_units),
+    ("sigma-idempotent-blockwise", _check_sigma_idempotents),
+    ("t-idempotent-character", _check_t_idempotents),
+    ("chi-quotient-classes", _check_quotient),
+    ("full-cycle-divisibility", _check_divisibility),
+    ("full-cycle-units-uniform", _check_full_cycle_units),
+)

@@ -501,6 +501,13 @@ class TestFindPartition:
         assert code == 2
         assert "full cycle" in err
 
+    def test_m_with_a_non_bijection_names_the_full_cycle_precondition(self, capsys):
+        assert run(capsys, "find-partition", "-f", "0,0,1", "-m", "2") == (
+            2,
+            "",
+            "error: map is not a full cycle over the ground set\n",
+        )
+
     def test_small_ground_set_is_an_error(self, capsys):
         assert run(capsys, "find-partition", "-f", "1,0")[0] == 2
 

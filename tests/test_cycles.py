@@ -158,6 +158,11 @@ class TestPreservedMPartitionExists:
         with pytest.raises(ValueError, match="full cycle"):
             preserved_m_partition_exists(t(1, 0, 3, 2), 2)
 
+    def test_rejects_a_non_bijection_as_not_a_full_cycle(self):
+        with pytest.raises(ValueError) as info:
+            preserved_m_partition_exists(t(0, 0, 1), 2)
+        assert str(info.value) == "map is not a full cycle over the ground set"
+
     def test_rejects_out_of_range_m(self):
         with pytest.raises(ValueError, match="must satisfy"):
             preserved_m_partition_exists(canonical_cycle(6), 1)

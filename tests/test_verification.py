@@ -36,6 +36,28 @@ def test_case_counts_and_passes_are_pinned():
     assert all(r.passed for r in results)
 
 
+def test_an_appended_law_reports_last_with_its_cases(monkeypatch):
+    def one_case_per_partition(tally, p, data, guard):
+        tally.check(True, str)
+
+    monkeypatch.setattr(
+        verification, "LAWS", (*verification.LAWS, ("appended", one_case_per_partition))
+    )
+    results = run_verification(2)
+    assert len(results) == len(CASES_AT_3) + 1
+    # the partitions 0, 0,1 and 0|1
+    assert (results[-1].name, results[-1].passed, results[-1].cases) == ("appended", True, 3)
+
+
+def test_the_pairwise_cap_scopes_only_the_homomorphism_law(monkeypatch):
+    monkeypatch.setattr(verification, "PAIRWISE_N_MAX", 2)
+    expected = [
+        ("character-homomorphism(n<=2)", 33) if name.startswith("character-") else (name, cases)
+        for name, cases in CASES_AT_3.items()
+    ]
+    assert [(r.name, r.cases) for r in run_verification(3)] == expected
+
+
 def test_wrong_character_fails_the_homomorphism_with_its_pairs(monkeypatch):
     real = verification.character
 
