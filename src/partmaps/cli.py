@@ -41,6 +41,7 @@ from .counting import count_sigma_grouped, log10_count
 from .cycles import find_preserved_partition, preserved_m_partition_exists
 from .enumeration import _class_count, _class_table, _collect, _member_count
 from .membership import (
+    NotPreservingError,
     _require_same_n,
     character,
     in_sigma,
@@ -91,12 +92,10 @@ def _false_reason(name: str, f: Transformation, p: SetPartition | None) -> str:
     if name == "idempotent":
         return "map differs from its own square"
     assert p is not None
-    idx = p.block_index
-    if not preserves(f, p):
-        for i, block in enumerate(p.blocks):
-            hit = {idx[f.images[x]] for x in block}
-            if len(hit) > 1:
-                return f"block {i} splits across blocks {sorted(hit)}"
+    try:
+        chi = character(f, p)
+    except NotPreservingError as exc:
+        return str(exc)  # the library's own text for the split block
     # f preserves p from here on, and on a finite set each false case has one cause
     if name == "units":
         return "map is not a bijection"  # a preserving bijection is a unit
@@ -104,9 +103,7 @@ def _false_reason(name: str, f: Transformation, p: SetPartition | None) -> str:
         return "a block restriction is not an idempotent selfmap"
     # sigma, sigma-character, sigma-topology, estar: a character onto the
     # blocks is a bijection, so the only way out of Sigma is a missed block
-    hit = {idx[y] for y in f.images}
-    missed = next(j for j in range(p.m) if j not in hit)
-    return f"image misses block {missed}"
+    return f"image misses block {min(set(range(p.m)).difference(chi.images))}"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -378,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_GUARD,
         help="cap on candidate maps an operation may visit",
     )
-    common.add_argument("--limit", type=int, default=None, help="truncate enumerations")
 
     parser = argparse.ArgumentParser(
         prog="partmaps",
@@ -402,6 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("-p", "--partition", required=True)
     p_enum.add_argument("--set", choices=SETS, required=True)
     p_enum.add_argument("--strategy", choices=("brute", "constructive"), default="constructive")
+    p_enum.add_argument("--limit", type=int, default=None, help="truncate enumerations")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_quot = sub.add_parser(
@@ -456,7 +453,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse (3.11) leaves a final "--" (end of options) in a subparser's extras
+    args = _parse_args(argv[:-1] if argv[-1:] == ["--"] else argv)
     try:
         # reject a bad guard even where the subcommand never consults it
         check_guard(0, args.guard, "nothing")

@@ -25,7 +25,7 @@ from partmaps.core import (
 )
 from partmaps.counting import count_sigma_grouped, count_sigma_idempotents, count_t, count_units
 from partmaps.enumeration import ChiClass, chi_classes
-from partmaps.membership import in_sigma, preserves
+from partmaps.membership import NotPreservingError, character, in_sigma, preserves
 
 
 def run(capsys, *argv):
@@ -102,15 +102,22 @@ class TestCheck:
         assert payload["result"] is False
         assert "misses block 1" in payload["reason"]
 
+    @staticmethod
+    def split_text(f, p):
+        """The library's text for a map that splits a block of p, else None."""
+        try:
+            character(f, p)
+        except NotPreservingError as exc:
+            return str(exc)
+        return None
+
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_json_reason_of_every_false_case(self, capsys, predicate):
-        split = r"block \d+ splits across blocks \[[\d, ]+\]"
         allowed = {
-            "preserves": split,
             "idempotent": "map differs from its own square",
-            "units": f"{split}|map is not a bijection",
+            "units": "map is not a bijection",
             "sigma-idempotent": "a block restriction is not an idempotent selfmap",
-        }.get(predicate, rf"{split}|image misses block \d+")
+        }.get(predicate, r"image misses block \d+")
         false_cases = 0
         for n in (1, 2, 3):
             for p in iter_partitions(n):
@@ -122,8 +129,32 @@ class TestCheck:
                         assert (code, out) == (2, "")
                     elif code == 1:
                         false_cases += 1
-                        assert re.fullmatch(allowed, json.loads(out)["reason"])
+                        reason = json.loads(out)["reason"]
+                        split = None
+                        if predicate != "idempotent":  # answered before p is read
+                            split = self.split_text(parse_transformation(f), p)
+                        if split is not None:
+                            assert reason == split
+                        else:
+                            assert predicate != "preserves" and re.fullmatch(allowed, reason)
         assert false_cases > 0
+
+    def test_split_reason_matches_the_character_error(self, capsys):
+        # one text for a split block, whether check raises it or reports it
+        splits = 0
+        for n in (1, 2, 3):
+            for p in iter_partitions(n):
+                for images in itertools.product(range(n), repeat=n):
+                    f = ",".join(map(str, images))
+                    if self.split_text(parse_transformation(f), p) is None:
+                        continue
+                    splits += 1
+                    argv = ["check", "-p", str(p), "-f", f, "--predicate"]
+                    code, out, _ = run(capsys, *argv, "preserves", "--format", "json")
+                    assert code == 1
+                    reason = json.loads(out)["reason"]
+                    assert run(capsys, *argv, "sigma-character") == (2, "", f"error: {reason}\n")
+        assert splits > 0
 
     def test_csv_output(self, capsys):
         _, out, _ = run(
@@ -634,6 +665,28 @@ class TestUsageErrors:
             main([])
         assert err.value.code == 2
 
+    # every subcommand but enumerate, each with an argv it accepts
+    LIMITLESS = {
+        "check": ["-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma"],
+        "count": ["--profile", "2:1,1:1", "--set", "T"],
+        "quotient": ["-p", "0,1|2"],
+        "character": ["-p", "0,1|2", "-f", "2,2,0"],
+        "find-partition": ["-f", "1,0,3,2"],
+        "verify": ["--n-max", "2"],
+    }
+
+    def test_limit_cases_cover_every_other_subcommand(self):
+        assert set(self.LIMITLESS) == set(cli._build_parser().commands) - {"enumerate"}
+
+    @pytest.mark.parametrize("command", LIMITLESS)
+    def test_limit_belongs_to_enumerate_only(self, capsys, command):
+        argv = [command, *self.LIMITLESS[command]]
+        assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--limit", "3"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --limit 3" in capsys.readouterr().err
+
 
 class TestParserReuse:
     # main() builds its parser once per process; no call may see another's state
@@ -701,7 +754,8 @@ class TestDispatchParity:
     ARGVS = [
         (["check", "-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma"], None),
         (["check", "--partition", "0,1|2", "--map", "2,2,0", "--predicate", "estar",
-          "--format", "json", "--guard", "7", "--limit", "3"], None),
+          "--format", "json", "--guard", "7"], None),
+        (["check", "-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma", "--limit", "3"], 2),
         (["check", "-f", "0,1", "--predicate", "idempotent"], None),
         (["check", "-p", "0|1", "-f", "0,1", "--pred", "units"], None),
         (["check", "-p", "0|1", "-f", "0,1", "--pred=units", "--form=csv"], None),
@@ -759,6 +813,14 @@ class TestDispatchParity:
             assert isinstance(got[0], dict) and got[0]["command"] == argv[0]
         else:
             assert got[0] == ("SystemExit", exit_code)
+
+    @pytest.mark.parametrize("argv", [argv for argv, exit_code in ARGVS if exit_code is None])
+    def test_trailing_double_dash_is_dropped(self, capsys, argv):
+        def answer(argv):
+            code, out, _ = run(capsys, *argv)
+            return code, re.sub(r'seconds": [^,}]+', 'seconds": 0', out)  # verify's timings
+
+        assert answer([*argv, "--"]) == answer(argv)
 
 
 @pytest.mark.skipif(
