@@ -3,7 +3,7 @@
 Usage::
 
     python benchmarks/bench_enumeration.py --src before=../old/src --src after=src \
-        --rounds 10 --out BENCH_6.json
+        --rounds 10 --out OUT.json
 
 Each ``--src LABEL=DIR`` names a directory holding the ``partmaps``
 package; ``paired.py`` says how the trees take turns and what the JSON
@@ -121,7 +121,7 @@ METRICS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = paired.parse_args(paired.parser(__doc__, default_out="BENCH_6.json"), argv)
+    args = paired.parse_args(paired.parser(__doc__), argv)
     return paired.compare(
         args,
         code=MEASURE,

@@ -3,7 +3,7 @@
 Usage::
 
     python benchmarks/bench_verify.py --src before=../old/src --src after=src \
-        --rounds 10 --out BENCH_9.json
+        --rounds 10 --out OUT.json
 
 Each ``--src LABEL=DIR`` names a directory holding the ``partmaps``
 package; ``paired.py`` says how the trees take turns and what the JSON
@@ -76,7 +76,7 @@ METRICS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = paired.parser(__doc__, default_out="BENCH_9.json")
+    parser = paired.parser(__doc__)
     parser.add_argument("--n-max", type=int, default=5, dest="n_max")
     args = paired.parse_args(parser, argv)
     return paired.compare(

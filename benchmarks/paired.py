@@ -28,8 +28,12 @@ import subprocess
 import sys
 
 
-def parser(doc: str, default_out: str) -> argparse.ArgumentParser:
-    """The options every bench script takes; scripts may add their own."""
+def parser(doc: str) -> argparse.ArgumentParser:
+    """The options every bench script takes; scripts may add their own.
+
+    ``--out`` has no default, so that no run overwrites a committed result
+    unasked.
+    """
     out = argparse.ArgumentParser(description=doc.split("\n", 1)[0])
     out.add_argument(
         "--src",
@@ -39,7 +43,7 @@ def parser(doc: str, default_out: str) -> argparse.ArgumentParser:
         help="a labelled directory holding the partmaps package; repeat to compare",
     )
     out.add_argument("--rounds", type=int, default=10)
-    out.add_argument("--out", default=default_out)
+    out.add_argument("--out", required=True, help="the JSON file to write")
     return out
 
 

@@ -25,11 +25,11 @@ from collections.abc import Sequence
 
 from .core import (
     DEFAULT_GUARD,
+    CharacterMap,
     GuardExceededError,
     ParseError,
     PartitionProfile,
     SetPartition,
-    Transformation,
     check_guard,
     format_partition,
     format_transformation,
@@ -88,14 +88,16 @@ def _emit_csv(rows: list[Sequence[str]]) -> None:
     writer.writerows(rows)
 
 
-def _false_reason(name: str, f: Transformation, p: SetPartition | None) -> str:
+def _false_reason(
+    name: str, p: SetPartition | None, found: CharacterMap | NotPreservingError | None
+) -> str:
+    """Why a ``check`` came out false, from ``found``: f's character on p,
+    or the error that says f splits a block (None when there is no p)."""
     if name == "idempotent":
         return "map differs from its own square"
     assert p is not None
-    try:
-        chi = character(f, p)
-    except NotPreservingError as exc:
-        return str(exc)  # the library's own text for the split block
+    if isinstance(found, NotPreservingError):
+        return str(found)  # the library's own text for the split block
     # f preserves p from here on, and on a finite set each false case has one cause
     if name == "units":
         return "map is not a bijection"  # a preserving bijection is a unit
@@ -103,7 +105,7 @@ def _false_reason(name: str, f: Transformation, p: SetPartition | None) -> str:
         return "a block restriction is not an idempotent selfmap"
     # sigma, sigma-character, sigma-topology, estar: a character onto the
     # blocks is a bijection, so the only way out of Sigma is a missed block
-    return f"image misses block {min(set(range(p.m)).difference(chi.images))}"
+    return f"image misses block {min(set(range(p.m)).difference(found.images))}"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -125,10 +127,17 @@ def cmd_check(args: argparse.Namespace) -> int:
             "partition": format_partition(p) if p is not None else None,
             "result": result,
         }
-        if p is not None and preserves(f, p):
-            payload["character"] = str(character(f, p))
+        # one character call serves both the character field and the reason
+        found = None
+        if p is not None:
+            try:
+                found = character(f, p)
+            except NotPreservingError as exc:
+                found = exc
+            else:
+                payload["character"] = str(found)
         if not result:
-            payload["reason"] = _false_reason(args.predicate, f, p)
+            payload["reason"] = _false_reason(args.predicate, p, found)
         _emit_json(payload)
     elif args.format == "csv":
         _emit_csv([["predicate", "result"], [args.predicate, str(result).lower()]])
@@ -360,92 +369,187 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``main`` call.
 
     Its ``commands`` attribute maps each subcommand name to that
-    subcommand's parser; ``main`` hands a call straight to it, and clearing
-    this cache rebuilds both.  Parsing keeps no state in the parser: each
-    call gets a fresh namespace, and help and usage errors go to the
-    ``sys.stdout`` and ``sys.stderr`` of that call.
+    subcommand's parser, and its ``plain`` attribute maps the name to the
+    grammar ``_parse_plain`` reads, built from the same actions; ``main``
+    hands a call straight to one of them, and clearing this cache rebuilds
+    all three.  Parsing keeps no state in the parser: each call gets a fresh
+    namespace, and help and usage errors go to the ``sys.stdout`` and
+    ``sys.stderr`` of that call.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("lines", "json", "csv"), default="lines", help="output format"
-    )
-    common.add_argument(
-        "--guard",
-        type=int,
-        default=DEFAULT_GUARD,
-        help="cap on candidate maps an operation may visit",
-    )
+    shared = [
+        common.add_argument(
+            "--format", choices=("lines", "json", "csv"), default="lines", help="output format"
+        ),
+        common.add_argument(
+            "--guard",
+            type=int,
+            default=DEFAULT_GUARD,
+            help="cap on candidate maps an operation may visit",
+        ),
+    ]
 
     parser = argparse.ArgumentParser(
         prog="partmaps",
         description="Transformations of a finite set that preserve a set partition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    own = {}  # subcommand name -> the actions add_argument gave it, in order
 
     p_check = sub.add_parser("check", parents=[common], help="evaluate a membership predicate")
-    p_check.add_argument("-p", "--partition", help='partition text, e.g. "0,1|2"')
-    p_check.add_argument("-f", "--map", required=True, help='image table, e.g. "2,2,0"')
-    p_check.add_argument("--predicate", choices=PREDICATES, required=True)
+    own["check"] = [
+        p_check.add_argument("-p", "--partition", help='partition text, e.g. "0,1|2"'),
+        p_check.add_argument("-f", "--map", required=True, help='image table, e.g. "2,2,0"'),
+        p_check.add_argument("--predicate", choices=PREDICATES, required=True),
+    ]
     p_check.set_defaults(func=cmd_check)
 
     p_count = sub.add_parser("count", parents=[common], help="exact cardinality of a member set")
-    p_count.add_argument("-p", "--partition")
-    p_count.add_argument("--profile", help='size:multiplicity pairs, e.g. "2:1,1:1"')
-    p_count.add_argument("--set", choices=("T", "Sigma", "S", "E-Sigma"), required=True)
+    own["count"] = [
+        p_count.add_argument("-p", "--partition"),
+        p_count.add_argument("--profile", help='size:multiplicity pairs, e.g. "2:1,1:1"'),
+        p_count.add_argument("--set", choices=("T", "Sigma", "S", "E-Sigma"), required=True),
+    ]
     p_count.set_defaults(func=cmd_count)
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="list the members of a set")
-    p_enum.add_argument("-p", "--partition", required=True)
-    p_enum.add_argument("--set", choices=SETS, required=True)
-    p_enum.add_argument("--strategy", choices=("brute", "constructive"), default="constructive")
-    p_enum.add_argument("--limit", type=int, default=None, help="truncate enumerations")
+    own["enumerate"] = [
+        p_enum.add_argument("-p", "--partition", required=True),
+        p_enum.add_argument("--set", choices=SETS, required=True),
+        p_enum.add_argument(
+            "--strategy", choices=("brute", "constructive"), default="constructive"
+        ),
+        p_enum.add_argument("--limit", type=int, default=None, help="truncate enumerations"),
+    ]
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_quot = sub.add_parser(
         "quotient", parents=[common], help="character classes of Sigma with sizes"
     )
-    p_quot.add_argument("-p", "--partition", required=True)
+    own["quotient"] = [p_quot.add_argument("-p", "--partition", required=True)]
     p_quot.set_defaults(func=cmd_quotient)
 
     p_char = sub.add_parser(
         "character", parents=[common], help="induced map on block indices"
     )
-    p_char.add_argument("-p", "--partition", required=True)
-    p_char.add_argument("-f", "--map", required=True)
+    own["character"] = [
+        p_char.add_argument("-p", "--partition", required=True),
+        p_char.add_argument("-f", "--map", required=True),
+    ]
     p_char.set_defaults(func=cmd_character)
 
     p_find = sub.add_parser(
         "find-partition", parents=[common], help="nontrivial partition preserved by a map"
     )
-    p_find.add_argument("-f", "--map", required=True)
-    p_find.add_argument("-m", type=int, default=None, help="require exactly m blocks (full cycles)")
-    p_find.add_argument("--verify", action="store_true", help="re-check membership before printing")
+    own["find-partition"] = [
+        p_find.add_argument("-f", "--map", required=True),
+        p_find.add_argument(
+            "-m", type=int, default=None, help="require exactly m blocks (full cycles)"
+        ),
+        p_find.add_argument(
+            "--verify", action="store_true", help="re-check membership before printing"
+        ),
+    ]
     p_find.set_defaults(func=cmd_find_partition)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run the cross-validation harness"
     )
-    p_verify.add_argument("--n-max", type=int, required=True, dest="n_max")
+    own["verify"] = [p_verify.add_argument("--n-max", type=int, required=True, dest="n_max")]
     p_verify.set_defaults(func=cmd_verify)
 
     parser.commands = sub.choices
+    parser.plain = {
+        name: _plain_grammar(command, shared + own[name]) for name, command in sub.choices.items()
+    }
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as the top-level parser would, skipping its own pass.
+# the action kinds _parse_plain reads, with their nargs: one value, or a flag
+_PLAIN_KINDS = {(argparse._StoreAction, None), (argparse._StoreTrueAction, 0)}
 
-    When argv starts with a subcommand, the top-level pass only hands the
-    rest of argv to that subcommand's parser, so this calls it directly, as
-    argparse's subparsers action does, and reports leftovers with the
+
+def _plain_grammar(command: argparse.ArgumentParser, actions: list[argparse.Action]):
+    """The grammar ``_parse_plain`` reads for one subcommand.
+
+    It is a triple: each option string of a kind in ``_PLAIN_KINDS``
+    mapped to its action, the namespace ``parse_known_args`` starts from
+    (each action's default in parser order, then the subcommand's
+    ``func``), and the required actions.  ``actions`` are the ones
+    ``add_argument`` returned for the subcommand, so its help action is
+    left out and ``-h``, like an option of any other kind, is left to
+    argparse.
+    """
+    options = {
+        option: action
+        for action in actions
+        if (type(action), action.nargs) in _PLAIN_KINDS
+        for option in action.option_strings
+    }
+    defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+    defaults["func"] = command.get_default("func")
+    return options, defaults, [action for action in actions if action.required]
+
+
+def _parse_plain(grammar, argv: list[str]) -> argparse.Namespace | None:
+    """Parse a plain call to one subcommand from its grammar, or return None.
+
+    Plain means: after the subcommand, only exact option strings of that
+    subcommand, each but a flag followed by one value that does not start
+    with "-".  argparse reads such an argv the same way, so converting each
+    value with the action's ``type``, checking ``choices`` and ``required``
+    and filling the defaults gives the namespace ``parse_known_args``
+    would.  Anything else (an unknown or abbreviated option, ``--opt=v``,
+    ``-pV``, ``-h``, an option of a kind not in ``_PLAIN_KINDS``, a value
+    starting with "-", a missing value, a type or choice error, a missing
+    required option) gives None, and argparse parses the call and words
+    its help or error.
+    """
+    options, defaults, required = grammar
+    values = dict(defaults)
+    seen = set()
+    rest = iter(argv[1:])
+    for option in rest:
+        action = options.get(option)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(rest, "-")  # a missing value declines as "-" does
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the top-level parser would, with as little argparse as it takes.
+
+    A plain call to a subcommand (see ``_parse_plain``) is read from that
+    subcommand's grammar with no argparse pass at all.  Any other call that
+    starts with a subcommand goes to that subcommand's parser directly, as
+    argparse's subparsers action does, and leftovers are reported with the
     top-level parser's text.  Anything else (no arguments, ``-h``, an
-    unknown command) goes through the top-level parser for its help, usage
-    and error text.
+    unknown command) goes through the top-level parser.  So every help,
+    usage and error text, and every exit code, comes from argparse.
     """
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _parse_plain(parser.plain[argv[0]], argv)
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

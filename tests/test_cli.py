@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import itertools
@@ -155,6 +156,33 @@ class TestCheck:
                     reason = json.loads(out)["reason"]
                     assert run(capsys, *argv, "sigma-character") == (2, "", f"error: {reason}\n")
         assert splits > 0
+
+    @pytest.mark.parametrize(
+        "p_text, f_text, character_field, reason",
+        [
+            ("0,1|2", "0,0,0", "0,0", "image misses block 1"),
+            ("0,1|2", "0,2,0", None, "block 0 (0,1) splits across blocks 0 and 1"),
+            ("0,1|2", "2,2,2", "1,1", "image misses block 0"),
+            ("0,1|2", "2,2,0", "1,0", None),
+        ],
+    )
+    def test_json_walks_the_map_once_after_the_predicate(
+        self, capsys, monkeypatch, p_text, f_text, character_field, reason
+    ):
+        calls = []
+        for name in ("preserves", "character"):
+            def counted(*args, _fn=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        argv = ["check", "-p", p_text, "-f", f_text, "--predicate", "sigma", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert calls == ["character"]
+        payload = json.loads(out)
+        assert payload.get("character") == character_field
+        assert payload.get("reason") == reason
+        assert code == (0 if reason is None else 1)
 
     def test_csv_output(self, capsys):
         _, out, _ = run(
@@ -740,10 +768,83 @@ class TestParserReuse:
         assert new is not old
         assert list(new.commands) == list(old.commands)
         assert all(new.commands[name] is not old.commands[name] for name in old.commands)
-        # main parses with the rebuilt table, not the old one
+        assert list(new.plain) == list(old.plain)
+        # main parses with the rebuilt tables, not the old ones, on the plain
+        # path and on argparse's alike
         for name, sub in old.commands.items():
             monkeypatch.setattr(sub, "parse_known_args", None)
+            monkeypatch.setitem(old.plain, name, ({}, None, None))
         assert run(capsys, "count", "--profile", "2:1", "--set", "T")[:2] == (0, "4\n")
+        assert run(capsys, "count", "--profile", "2:1", "--set=T")[:2] == (0, "4\n")
+
+
+def _plain_argvs():
+    """Plain argvs of every subcommand, all accepted: after the subcommand,
+    only exact option strings, each followed by one value that does not
+    start with "-", or the flag ``--verify``."""
+    spellings = {
+        "check": [
+            ["-p", "0,1|2", "-f", "2,2,0"],
+            ["--partition", "0,1|2", "--map", "2,2,0"],
+            ["-f", "0,0"],
+        ],
+        "count": [["-p", "0,1|2"], ["--partition", "0,1|2"], ["--profile", "2:1,1:1"]],
+        "enumerate": [["-p", "0,1|2"], ["--partition", "0,1|2"]],
+        "quotient": [["-p", "0,1|2"], ["--partition", "0,1|2"]],
+        "character": [
+            ["-p", "0,1|2", "-f", "2,2,0"],
+            ["--map", "2,2,0", "--partition", "0,1|2"],
+        ],
+        "find-partition": [["-f", "1,0,3,2"], ["--map", "1,0,3,2"]],
+        "verify": [[]],
+    }
+    # every choice of every option that has choices, and ints where type=int
+    options = {
+        "check": [["--predicate", name] for name in PREDICATES],
+        "count": [["--set", name] for name in ("T", "Sigma", "S", "E-Sigma")],
+        "enumerate": [
+            ["--set", name, *more]
+            for name in cli.SETS
+            for more in (
+                [],
+                ["--strategy", "brute"],
+                ["--strategy", "constructive", "--limit", "3"],
+                ["--limit", "0"],
+            )
+        ],
+        "quotient": [[]],
+        "character": [[]],
+        "find-partition": [[], ["-m", "2"], ["--verify"], ["--verify", "-m", "0"]],
+        "verify": [["--n-max", "0"], ["--n-max", "3"]],
+    }
+    shared = [
+        [],
+        ["--format", "lines"],
+        ["--format", "json"],
+        ["--format", "csv"],
+        ["--guard", "1"],
+        ["--guard", "0"],
+        ["--guard", "12", "--format", "json"],
+    ]
+    argvs = []
+    for command, forms in spellings.items():
+        for form in forms:
+            argvs += [[command, *form, *more] for more in options[command]]
+            argvs += [[command, *form, *options[command][-1], *more] for more in shared]
+    # a repeated option keeps its last value, a repeated flag stays set
+    argvs += [
+        ["check", "-p", "0|1", "--partition", "0,1", "-f", "0,1", "--map", "1,0",
+         "--predicate", "sigma", "--predicate", "units"],
+        ["count", "--profile", "1:2", "--set", "S", "--set", "T", "--format", "json",
+         "--format", "csv", "--guard", "5", "--guard", "7"],
+        ["enumerate", "-p", "0|1", "--set", "T", "--limit", "3", "--limit", "1",
+         "--strategy", "brute", "--strategy", "constructive"],
+        ["find-partition", "-f", "1,0", "--verify", "-m", "2", "--verify", "-m", "3"],
+        ["verify", "--n-max", "4", "--n-max", "2"],
+        # an empty value does not start with "-"
+        ["quotient", "-p", ""],
+    ]
+    return argvs
 
 
 class TestDispatchParity:
@@ -821,6 +922,118 @@ class TestDispatchParity:
             return code, re.sub(r'seconds": [^,}]+', 'seconds": 0', out)  # verify's timings
 
         assert answer([*argv, "--"]) == answer(argv)
+
+    @pytest.mark.parametrize("argv", _plain_argvs(), ids=" ".join)
+    def test_plain_argv_skips_argparse_and_parses_the_same(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            refuse_argparse(patch)
+            got = self.outcome(capsys, cli._parse_args, argv)
+        assert got == self.outcome(capsys, cli._build_parser().parse_args, argv)
+        assert isinstance(got[0], dict) and got[0]["command"] == argv[0]
+
+    def test_plain_corpus_covers_every_subcommand(self):
+        assert {argv[0] for argv in _plain_argvs()} == set(cli._build_parser().commands)
+
+
+def refuse_argparse(monkeypatch):
+    """Make every argparse pass of the shared parser raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was asked to parse")
+
+    parser = cli._build_parser()
+    for command in (parser, *parser.commands.values()):
+        monkeypatch.setattr(command, "parse_known_args", refuse)
+
+
+class TestPlainParse:
+    # main reads a plain argv from the subcommand's own option table and
+    # hands anything else to argparse, which words every help and error
+
+    # one argv of each class of the perfbench queries mix, with its exit code
+    QUERIES = [
+        (["check", "-p", "0|1,2,6,3,8|7|5,4", "-f", "1,4,2,7,3,4,0,5,7",
+          "--predicate", "preserves"], 1),
+        (["check", "-p", "3|0,2|1", "-f", "1,0,1,3", "--predicate", "sigma"], 0),
+        (["check", "-p", "2|0|3|1|4", "-f", "2,4,3,1,0", "--predicate", "sigma-character"], 0),
+        (["check", "-p", "0,1,2", "-f", "2,1,0", "--predicate", "sigma-topology"], 0),
+        (["check", "-p", "8|0|2|7|1|4|6|5|3", "-f", "0,1,2,3,4,5,6,7,8",
+          "--predicate", "estar"], 0),
+        (["check", "-p", "2|0|1", "-f", "2,0,0", "--predicate", "units"], 1),
+        (["check", "-p", "4,1,0,3,5,7,8,2,6", "-f", "5,3,6,8,4,6,6,4,4",
+          "--predicate", "idempotent"], 1),
+        (["check", "-p", "5,11,0,9,3,8,10,2,1,7,6,4", "-f", "6,4,2,1,6,3,9,4,2,9,11,3",
+          "--predicate", "sigma-idempotent"], 1),
+        (["character", "-p", "0,3,4,2,1", "-f", "4,2,0,2,3"], 0),
+        (["find-partition", "-f", "2,0,0,1", "--verify"], 0),
+        (["find-partition", "-f", "2,1,4,3,0", "--verify"], 0),
+        (["find-partition", "-f", "3,2,0,1", "--verify"], 0),
+        (["count", "--profile", "7:2,8:2", "--set", "T"], 0),
+        (["count", "--profile", "29:12", "--set", "T"], 0),
+        (["count", "--profile", "3:4,4:4,7:4", "--set", "Sigma"], 0),
+        (["count", "--profile", "3:5914", "--set", "T"], 2),
+        (["enumerate", "-p", "5,3,2|1,4,6,0", "--set", "Sigma", "--limit", "3"], 0),
+        (["enumerate", "-p", "3|0|2|6|4|5|1|7", "--set", "S", "--limit", "3"], 0),
+        (["enumerate", "-p", "8,3,2,4,1|6,9,5,0,7", "--set", "E-Sigma", "--limit", "3"], 0),
+        (["enumerate", "-p", "8|7|1|3|0|4|5|2|6", "--set", "T", "--limit", "3"], 0),
+        (["quotient", "-p", "4|0|1,2|3,5|6"], 0),
+        (["quotient", "-p", "5|2|0|3|1|9,6,4,8|7"], 0),
+    ]
+
+    @pytest.mark.parametrize("argv, exit_code", QUERIES)
+    def test_queries_answer_without_argparse(self, capsys, monkeypatch, argv, exit_code):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_plain", lambda grammar, argv: None)
+            expected = run(capsys, *argv)  # argparse's parse
+        refuse_argparse(monkeypatch)
+        got = run(capsys, *argv)
+        assert got == expected
+        assert got[0] == exit_code
+
+    # argvs the plain path declines: argparse parses each one
+    NOT_PLAIN = [
+        ["check", "-p", "0|1", "-f", "0,1", "--pred", "units"],
+        ["check", "-p", "0|1", "-f", "0,1", "--pred=units"],
+        ["quotient", "-p0|1"],
+        ["enumerate", "-p", "0,1|2", "--set", "Sigma", "--limit=-1"],
+        ["enumerate", "-p", "0,1|2", "--set", "Sigma", "--limit", "-1"],
+        ["quotient", "-p", "-1"],
+        ["check", "-h"],
+        ["check", "-p", "0|1", "-f", "0,1", "--predicate", "nope"],
+        ["find-partition", "-f", "0", "-m", "x"],
+        ["quotient", "-p", "0", "--guard"],
+        ["verify"],
+        ["quotient", "-p", "0|1", "extra"],
+        ["quotient", "-p", "0|1", "--", "x"],
+    ]
+
+    @pytest.mark.parametrize("argv", NOT_PLAIN, ids=" ".join)
+    def test_other_argvs_reach_argparse(self, capsys, monkeypatch, argv):
+        parsed = []
+        command = cli._build_parser().commands[argv[0]]
+        parse = command.parse_known_args
+
+        def counted(*args, **kwargs):
+            parsed.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(command, "parse_known_args", counted)
+        TestParserReuse.call(capsys, argv)
+        assert len(parsed) == 1
+
+    def test_an_option_of_another_kind_is_left_to_argparse(self):
+        command = argparse.ArgumentParser()
+        actions = [
+            command.add_argument("-x", action="append"),
+            command.add_argument("-y", nargs="?"),
+            command.add_argument("-z"),
+        ]
+        grammar = cli._plain_grammar(command, actions)
+        assert list(grammar[0]) == ["-z"]
+        assert cli._parse_plain(grammar, ["cmd", "-x", "1"]) is None
+        assert cli._parse_plain(grammar, ["cmd", "-y", "1"]) is None
+        got = cli._parse_plain(grammar, ["cmd", "-z", "1"])
+        assert vars(got) == {"command": "cmd", "x": None, "y": None, "z": "1", "func": None}
 
 
 @pytest.mark.skipif(

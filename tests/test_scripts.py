@@ -41,3 +41,21 @@ class TestCensusScript:
         out = capsys.readouterr().out
         assert "[FAIL] cardinality-formulas-vs-enumeration: 10 cases, 2 failures" in out
         assert "[PASS] brute-vs-constructive-enumeration: 8 cases" in out
+
+
+class TestBenchScripts:
+    BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+    def test_every_script_requires_out(self):
+        # no default file name, so no run overwrites a committed result unasked
+        scripts = sorted(self.BENCHMARKS.glob("bench_*.py"))
+        assert len(scripts) == 4
+        for script in scripts:
+            proc = subprocess.run(
+                [sys.executable, str(script), "--src", "tree=src"],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 2, script.name
+            assert "the following arguments are required: --out" in proc.stderr
