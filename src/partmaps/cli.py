@@ -24,12 +24,14 @@ import sys
 from collections.abc import Sequence
 
 from .core import (
+    CACHE_SIZE,
     DEFAULT_GUARD,
     CharacterMap,
     GuardExceededError,
     ParseError,
     PartitionProfile,
     SetPartition,
+    _profile_of_text,
     check_guard,
     format_partition,
     format_transformation,
@@ -180,28 +182,40 @@ def _check_printable(profile: PartitionProfile, set_name: str) -> None:
         raise ValueError(INT_STR_LIMIT_MESSAGE.format(limit))
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _decimal(count: int) -> str:
+    """``str(count)``, kept for the counts the formulas keep.
+
+    Writing a count of a few thousand digits in decimal takes time
+    quadratic in its length, hundreds of times the cached formula's lookup,
+    so a repeated ``count`` would otherwise cost as much as its first.
+    """
+    return str(count)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     if (args.partition is None) == (args.profile is None):
         raise ParseError("give exactly one of -p/--partition and --profile")
     if args.partition is not None:
-        profile = profile_of(parse_partition(args.partition))
+        profile = _profile_of_text(args.partition)
     else:
         profile = _parse_profile(args.profile)
     _check_printable(profile, args.set)
     _, value = _member_count(profile, args.set, args.guard)  # E-T is rejected by the parser
+    text = _decimal(value)
     if args.format == "json":
         _emit_json(
             {
                 "command": "count",
                 "set": args.set,
                 "profile": ",".join(f"{s}:{c}" for s, c in profile.entries),
-                "count": str(value),
+                "count": text,
             }
         )
     elif args.format == "csv":
-        _emit_csv([["set", "count"], [args.set, str(value)]])
+        _emit_csv([["set", "count"], [args.set, text]])
     else:
-        print(value)
+        print(text)
     return 0
 
 

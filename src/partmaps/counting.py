@@ -146,8 +146,9 @@ def log10_count(profile: PartitionProfile, set_name: str) -> float | None:
 
     The relative error is rounding only, far below 1e-9, so the value tells
     how many decimal digits the count has except within a hair of a power of
-    ten.  It costs a few float operations per pair of size classes (per
-    point of a block for E(Sigma)), however large the count.
+    ten.  It costs a few float operations per pair of size classes (for
+    E(Sigma), one per size class once each block size's term is kept),
+    however large the count.
     """
     entries = profile.entries
     if set_name == "T":
@@ -158,13 +159,14 @@ def log10_count(profile: PartitionProfile, set_name: str) -> float | None:
     if set_name == "S":
         return fsum(_log10_factorial(mult) + mult * _log10_factorial(size) for size, mult in entries)
     if set_name == "E-Sigma":
-        return fsum(
-            mult
-            * _log10_sum(
-                _log10_factorial(size) - _log10_factorial(j) - _log10_factorial(size - j)
-                + (size - j) * log10(j)
-                for j in range(1, size + 1)
-            )
-            for size, mult in entries
-        )
+        return fsum(mult * _log10_idempotent_count(size) for size, mult in entries)
     return None
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _log10_idempotent_count(n: int) -> float:
+    """log10 of :func:`idempotent_count`, one term per image size."""
+    return _log10_sum(
+        _log10_factorial(n) - _log10_factorial(j) - _log10_factorial(n - j) + (n - j) * log10(j)
+        for j in range(1, n + 1)
+    )

@@ -14,6 +14,7 @@ import oracles
 from partmaps import cli
 from partmaps.cli import PREDICATES, main
 from partmaps.core import (
+    CACHE_SIZE,
     CharacterMap,
     PartitionProfile,
     Transformation,
@@ -237,6 +238,16 @@ class TestCount:
         code, out, err = run(capsys, "count", "--profile", "1:5", "--set", "Sigma", "--guard", "3")
         assert (code, out) == (3, "")
         assert "Sigma count states needs 5 items" in err
+
+    @pytest.mark.parametrize("fmt", ["lines", "json", "csv"])
+    def test_repeated_large_count_prints_the_same(self, capsys, fmt):
+        # the decimal text of a count is kept with the count
+        argv = ("count", "--profile", "30:35,36:63", "--set", "S", "--format", fmt)
+        first = run(capsys, *argv)
+        assert first == run(capsys, *argv)
+        want = factorial(35) * factorial(30) ** 35 * factorial(63) * factorial(36) ** 63
+        assert first[0] == 0 and str(want) in first[1]
+        assert cli._decimal.cache_info().maxsize == CACHE_SIZE
 
     def test_json_uses_decimal_strings(self, capsys):
         _, out, _ = run(capsys, "count", "-p", "0,1|2", "--set", "T", "--format", "json")

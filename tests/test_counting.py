@@ -277,3 +277,10 @@ class TestPerProfileCaches:
         assert CACHE_SIZE >= 1
         for kernel in KERNELS.values():
             assert kernel.cache_info().maxsize == CACHE_SIZE
+        assert counting._log10_idempotent_count.cache_info().maxsize == CACHE_SIZE
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+    def test_kept_log10_term_is_the_idempotent_count(self, n):
+        want = log10(idempotent_count(n))
+        for _ in range(2):  # computed, then read back
+            assert abs(counting._log10_idempotent_count(n) - want) <= 1e-9 * max(1.0, want)
