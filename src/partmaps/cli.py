@@ -31,7 +31,6 @@ from .core import (
     ParseError,
     PartitionProfile,
     SetPartition,
-    _profile_of_text,
     check_guard,
     format_partition,
     format_transformation,
@@ -39,7 +38,7 @@ from .core import (
     parse_transformation,
     profile_of,
 )
-from .counting import count_sigma_grouped, log10_count
+from .counting import _log10_factorial, count_sigma_grouped, log10_count
 from .cycles import find_preserved_partition, preserved_m_partition_exists
 from .enumeration import _class_count, _class_table, _collect, _member_count
 from .membership import (
@@ -171,15 +170,31 @@ def _check_printable(profile: PartitionProfile, set_name: str) -> None:
 
     A count of d digits has log10 in [d - 1, d), so one whole digit of
     margin, plus a relative 1e-9 for rounding, leaves every count near the
-    limit to str() itself.
+    limit to str() itself.  T, S and E-Sigma read their log10 from
+    ``log10_count``.  Sigma reads a lower bound, log10(m!): each of the m!
+    bijections of the blocks is the character of at least one member (see
+    ``chi_classes``), and on m singletons the bound is the count itself.
     """
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     limit = get_limit() if get_limit is not None else 0
     if not limit:
         return
-    estimate = log10_count(profile, set_name)
+    if set_name == "Sigma":
+        estimate = _log10_factorial(profile.m)
+    else:
+        estimate = log10_count(profile, set_name)
     if estimate is not None and estimate > (limit + 1) * (1 + 1e-9):
         raise ValueError(INT_STR_LIMIT_MESSAGE.format(limit))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _profile_of_text(text: str) -> PartitionProfile:
+    """``profile_of(parse_partition(text))``, kept by text for ``count -p``.
+
+    A partition counted again costs a lookup, like its profile's counts;
+    an error is raised by ``parse_partition`` and is not kept.
+    """
+    return profile_of(parse_partition(text))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -382,100 +397,78 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``main`` call.
 
-    Its ``commands`` attribute maps each subcommand name to that
-    subcommand's parser, and its ``plain`` attribute maps the name to the
-    grammar ``_parse_plain`` reads, built from the same actions; ``main``
-    hands a call straight to one of them, and clearing this cache rebuilds
-    all three.  Parsing keeps no state in the parser: each call gets a fresh
-    namespace, and help and usage errors go to the ``sys.stdout`` and
-    ``sys.stderr`` of that call.
+    Its ``plain`` attribute maps each subcommand name to the grammar
+    ``_parse_plain`` reads, built from that subcommand's own actions, so
+    clearing this cache rebuilds both.  Parsing keeps no state in the
+    parser: each call gets a fresh namespace, and help and usage errors go
+    to the ``sys.stdout`` and ``sys.stderr`` of that call.
     """
     common = argparse.ArgumentParser(add_help=False)
-    shared = [
-        common.add_argument(
-            "--format", choices=("lines", "json", "csv"), default="lines", help="output format"
-        ),
-        common.add_argument(
-            "--guard",
-            type=int,
-            default=DEFAULT_GUARD,
-            help="cap on candidate maps an operation may visit",
-        ),
-    ]
+    common.add_argument(
+        "--format", choices=("lines", "json", "csv"), default="lines", help="output format"
+    )
+    common.add_argument(
+        "--guard",
+        type=int,
+        default=DEFAULT_GUARD,
+        help="cap on candidate maps an operation may visit",
+    )
 
     parser = argparse.ArgumentParser(
         prog="partmaps",
         description="Transformations of a finite set that preserve a set partition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    own = {}  # subcommand name -> the actions add_argument gave it, in order
 
     p_check = sub.add_parser("check", parents=[common], help="evaluate a membership predicate")
-    own["check"] = [
-        p_check.add_argument("-p", "--partition", help='partition text, e.g. "0,1|2"'),
-        p_check.add_argument("-f", "--map", required=True, help='image table, e.g. "2,2,0"'),
-        p_check.add_argument("--predicate", choices=PREDICATES, required=True),
-    ]
+    p_check.add_argument("-p", "--partition", help='partition text, e.g. "0,1|2"')
+    p_check.add_argument("-f", "--map", required=True, help='image table, e.g. "2,2,0"')
+    p_check.add_argument("--predicate", choices=PREDICATES, required=True)
     p_check.set_defaults(func=cmd_check)
 
     p_count = sub.add_parser("count", parents=[common], help="exact cardinality of a member set")
-    own["count"] = [
-        p_count.add_argument("-p", "--partition"),
-        p_count.add_argument("--profile", help='size:multiplicity pairs, e.g. "2:1,1:1"'),
-        p_count.add_argument("--set", choices=("T", "Sigma", "S", "E-Sigma"), required=True),
-    ]
+    p_count.add_argument("-p", "--partition")
+    p_count.add_argument("--profile", help='size:multiplicity pairs, e.g. "2:1,1:1"')
+    p_count.add_argument("--set", choices=("T", "Sigma", "S", "E-Sigma"), required=True)
     p_count.set_defaults(func=cmd_count)
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="list the members of a set")
-    own["enumerate"] = [
-        p_enum.add_argument("-p", "--partition", required=True),
-        p_enum.add_argument("--set", choices=SETS, required=True),
-        p_enum.add_argument(
-            "--strategy", choices=("brute", "constructive"), default="constructive"
-        ),
-        p_enum.add_argument("--limit", type=int, default=None, help="truncate enumerations"),
-    ]
+    p_enum.add_argument("-p", "--partition", required=True)
+    p_enum.add_argument("--set", choices=SETS, required=True)
+    p_enum.add_argument("--strategy", choices=("brute", "constructive"), default="constructive")
+    p_enum.add_argument("--limit", type=int, default=None, help="truncate enumerations")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_quot = sub.add_parser(
         "quotient", parents=[common], help="character classes of Sigma with sizes"
     )
-    own["quotient"] = [p_quot.add_argument("-p", "--partition", required=True)]
+    p_quot.add_argument("-p", "--partition", required=True)
     p_quot.set_defaults(func=cmd_quotient)
 
     p_char = sub.add_parser(
         "character", parents=[common], help="induced map on block indices"
     )
-    own["character"] = [
-        p_char.add_argument("-p", "--partition", required=True),
-        p_char.add_argument("-f", "--map", required=True),
-    ]
+    p_char.add_argument("-p", "--partition", required=True)
+    p_char.add_argument("-f", "--map", required=True)
     p_char.set_defaults(func=cmd_character)
 
     p_find = sub.add_parser(
         "find-partition", parents=[common], help="nontrivial partition preserved by a map"
     )
-    own["find-partition"] = [
-        p_find.add_argument("-f", "--map", required=True),
-        p_find.add_argument(
-            "-m", type=int, default=None, help="require exactly m blocks (full cycles)"
-        ),
-        p_find.add_argument(
-            "--verify", action="store_true", help="re-check membership before printing"
-        ),
-    ]
+    p_find.add_argument("-f", "--map", required=True)
+    p_find.add_argument("-m", type=int, default=None, help="require exactly m blocks (full cycles)")
+    p_find.add_argument(
+        "--verify", action="store_true", help="re-check membership before printing"
+    )
     p_find.set_defaults(func=cmd_find_partition)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run the cross-validation harness"
     )
-    own["verify"] = [p_verify.add_argument("--n-max", type=int, required=True, dest="n_max")]
+    p_verify.add_argument("--n-max", type=int, required=True, dest="n_max")
     p_verify.set_defaults(func=cmd_verify)
 
-    parser.commands = sub.choices
-    parser.plain = {
-        name: _plain_grammar(command, shared + own[name]) for name, command in sub.choices.items()
-    }
+    parser.plain = {name: _plain_grammar(command) for name, command in sub.choices.items()}
     return parser
 
 
@@ -483,17 +476,17 @@ def _build_parser() -> argparse.ArgumentParser:
 _PLAIN_KINDS = {(argparse._StoreAction, None), (argparse._StoreTrueAction, 0)}
 
 
-def _plain_grammar(command: argparse.ArgumentParser, actions: list[argparse.Action]):
+def _plain_grammar(command: argparse.ArgumentParser):
     """The grammar ``_parse_plain`` reads for one subcommand.
 
     It is a triple: each option string of a kind in ``_PLAIN_KINDS``
     mapped to its action, the namespace ``parse_known_args`` starts from
     (each action's default in parser order, then the subcommand's
-    ``func``), and the required actions.  ``actions`` are the ones
-    ``add_argument`` returned for the subcommand, so its help action is
-    left out and ``-h``, like an option of any other kind, is left to
-    argparse.
+    ``func``), and the required actions.  The help action is of no kind in
+    ``_PLAIN_KINDS`` and its default is ``SUPPRESS``, so it is left out and
+    ``-h``, like an option of any other kind, is left to argparse.
     """
+    actions = command._actions
     options = {
         option: action
         for action in actions
@@ -550,24 +543,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv as the top-level parser would, with as little argparse as it takes.
 
     A plain call to a subcommand (see ``_parse_plain``) is read from that
-    subcommand's grammar with no argparse pass at all.  Any other call that
-    starts with a subcommand goes to that subcommand's parser directly, as
-    argparse's subparsers action does, and leftovers are reported with the
-    top-level parser's text.  Anything else (no arguments, ``-h``, an
-    unknown command) goes through the top-level parser.  So every help,
-    usage and error text, and every exit code, comes from argparse.
+    subcommand's grammar with no argparse pass at all.  Every other call
+    goes to the top-level parser's ``parse_args``, so every help, usage and
+    error text, and every exit code, comes from argparse.
     """
     parser = _build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _parse_plain(parser.plain[argv[0]], argv)
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    grammar = parser.plain.get(argv[0]) if argv else None
+    if grammar is not None:
+        args = _parse_plain(grammar, argv)
+        if args is not None:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

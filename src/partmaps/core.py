@@ -41,8 +41,8 @@ from typing import Iterator
 DEFAULT_GUARD = 10**7
 
 # answers kept by each per-profile cache (``profile_of`` and the counting
-# formulas, and the texts and decimal counts of ``count``); one entry per
-# profile, and n <= 14 has only 135 profiles
+# formulas, and the decimal counts of ``count``); one entry per profile, and
+# n <= 14 has only 135 profiles
 CACHE_SIZE = 1024
 
 
@@ -493,26 +493,6 @@ def parse_partition(text: str, n: int | None = None) -> SetPartition:
         return _trusted_partition(*_canonical_blocks(blocks, n))
     except ValueError as exc:
         raise ParseError(*exc.args) from None
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _profile_of_text(text: str) -> PartitionProfile:
-    """``profile_of(parse_partition(text))``, without building the partition.
-
-    When the points of ``text`` are exactly the ints 0..n-1, each once, the
-    text is a valid partition and its block sizes are one more than each
-    block's comma count; any other text goes to ``parse_partition``, which
-    raises its error.  Up to ``CACHE_SIZE`` answers are kept by text, so a
-    partition counted again costs a lookup, like its profile's counts.
-    """
-    blocks = text.split("|")
-    try:
-        points = sorted(map(int, text.replace("|", ",").split(",")))
-    except ValueError:
-        points = None
-    if points is None or points != list(range(len(points))):
-        return profile_of(parse_partition(text))
-    return _profile_of_sizes(tuple(sorted(block.count(",") + 1 for block in blocks)))
 
 
 def format_transformation(f: Transformation) -> str:

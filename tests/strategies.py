@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for partitions and transformations."""
+"""Shared hypothesis strategies for partitions and transformations, and partition text."""
 
 from hypothesis import strategies as st
 
@@ -63,3 +63,10 @@ def partition_with_preserving_map(draw, max_n=7):
 def partition_with_preserving_pair(draw, max_n=6):
     p = draw(partitions(max_n))
     return p, draw(preserving_map(p)), draw(preserving_map(p))
+
+
+def shuffled_text(blocks, rng):
+    """Partition text with the blocks, and the points in each block, in random order."""
+    blocks = [rng.sample(b, len(b)) for b in blocks]
+    rng.shuffle(blocks)
+    return "|".join(",".join(map(str, b)) for b in blocks)

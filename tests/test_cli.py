@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import random
 import re
 import sys
 from math import factorial, prod
@@ -11,11 +12,12 @@ import pytest
 
 import bad_input
 import oracles
-from partmaps import cli
+from partmaps import cli, counting
 from partmaps.cli import PREDICATES, main
 from partmaps.core import (
     CACHE_SIZE,
     CharacterMap,
+    ParseError,
     PartitionProfile,
     Transformation,
     format_partition,
@@ -28,6 +30,7 @@ from partmaps.core import (
 from partmaps.counting import count_sigma_grouped, count_sigma_idempotents, count_t, count_units
 from partmaps.enumeration import ChiClass, chi_classes
 from partmaps.membership import NotPreservingError, character, in_sigma, preserves
+from strategies import shuffled_text
 
 
 def run(capsys, *argv):
@@ -254,6 +257,34 @@ class TestCount:
         payload = json.loads(out)
         assert payload["count"] == "15"
         assert payload["profile"] == "1:1,2:1"
+
+
+class TestProfileOfText:
+    # the profile count -p reads from partition text, kept by text
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_partition(self, n):
+        rng = random.Random(n)
+        for p in iter_partitions(n):
+            text = shuffled_text(p.blocks, rng)
+            for _ in range(2):  # computed, then read back
+                assert cli._profile_of_text(text) is profile_of(parse_partition(text))
+
+    @pytest.mark.parametrize("text", [" 0 , 1 | 2 ", "+0,1|2", "2|1,0", "0"])
+    def test_spellings_int_accepts(self, text):
+        assert cli._profile_of_text(text) is profile_of(parse_partition(text))
+
+    @pytest.mark.parametrize(
+        "case, blocks, text, message",
+        [*bad_input.PARTITIONS, ("not an int", None, "0,x|2", "invalid point 'x'")],
+    )
+    def test_bad_text_raises_the_parser_error(self, case, blocks, text, message):
+        for _ in range(2):  # an error is not kept
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                cli._profile_of_text(text)
+
+    def test_cache_is_bounded(self):
+        assert cli._profile_of_text.cache_info().maxsize == CACHE_SIZE
 
 
 class TestEnumerate:
@@ -715,7 +746,7 @@ class TestUsageErrors:
     }
 
     def test_limit_cases_cover_every_other_subcommand(self):
-        assert set(self.LIMITLESS) == set(cli._build_parser().commands) - {"enumerate"}
+        assert set(self.LIMITLESS) == set(cli._build_parser().plain) - {"enumerate"}
 
     @pytest.mark.parametrize("command", LIMITLESS)
     def test_limit_belongs_to_enumerate_only(self, capsys, command):
@@ -777,13 +808,15 @@ class TestParserReuse:
         cli._build_parser.cache_clear()
         new = cli._build_parser()
         assert new is not old
-        assert list(new.commands) == list(old.commands)
-        assert all(new.commands[name] is not old.commands[name] for name in old.commands)
         assert list(new.plain) == list(old.plain)
-        # main parses with the rebuilt tables, not the old ones, on the plain
+        for name, (options, defaults, _) in old.plain.items():
+            assert list(new.plain[name][0]) == list(options)
+            assert new.plain[name][1] == defaults
+            assert all(new.plain[name][0][option] is not options[option] for option in options)
+        # main parses with the rebuilt parser, not the old one, on the plain
         # path and on argparse's alike
-        for name, sub in old.commands.items():
-            monkeypatch.setattr(sub, "parse_known_args", None)
+        monkeypatch.setattr(old, "parse_known_args", None)
+        for name in old.plain:
             monkeypatch.setitem(old.plain, name, ({}, None, None))
         assert run(capsys, "count", "--profile", "2:1", "--set", "T")[:2] == (0, "4\n")
         assert run(capsys, "count", "--profile", "2:1", "--set=T")[:2] == (0, "4\n")
@@ -859,10 +892,10 @@ def _plain_argvs():
 
 
 class TestDispatchParity:
-    # main hands a call that starts with a subcommand straight to that
-    # subcommand's parser; every argv must parse, or fail, exactly as the
-    # top-level parser's parse_args does.  None marks an accepted argv,
-    # otherwise the SystemExit code
+    # main reads a plain call from its subcommand's grammar and hands every
+    # other call to the top-level parser; every argv must parse, or fail,
+    # exactly as the top-level parser's parse_args does.  None marks an
+    # accepted argv, otherwise the SystemExit code
     ARGVS = [
         (["check", "-p", "0,1|2", "-f", "2,2,0", "--predicate", "sigma"], None),
         (["check", "--partition", "0,1|2", "--map", "2,2,0", "--predicate", "estar",
@@ -943,18 +976,16 @@ class TestDispatchParity:
         assert isinstance(got[0], dict) and got[0]["command"] == argv[0]
 
     def test_plain_corpus_covers_every_subcommand(self):
-        assert {argv[0] for argv in _plain_argvs()} == set(cli._build_parser().commands)
+        assert {argv[0] for argv in _plain_argvs()} == set(cli._build_parser().plain)
 
 
 def refuse_argparse(monkeypatch):
-    """Make every argparse pass of the shared parser raise."""
+    """Make an argparse pass of the shared parser raise; every one starts at the top."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("argparse was asked to parse")
 
-    parser = cli._build_parser()
-    for command in (parser, *parser.commands.values()):
-        monkeypatch.setattr(command, "parse_known_args", refuse)
+    monkeypatch.setattr(cli._build_parser(), "parse_known_args", refuse)
 
 
 class TestPlainParse:
@@ -1001,7 +1032,7 @@ class TestPlainParse:
         assert got == expected
         assert got[0] == exit_code
 
-    # argvs the plain path declines: argparse parses each one
+    # argvs the plain path declines: the top-level parser parses each one, once
     NOT_PLAIN = [
         ["check", "-p", "0|1", "-f", "0,1", "--pred", "units"],
         ["check", "-p", "0|1", "-f", "0,1", "--pred=units"],
@@ -1021,26 +1052,26 @@ class TestPlainParse:
     @pytest.mark.parametrize("argv", NOT_PLAIN, ids=" ".join)
     def test_other_argvs_reach_argparse(self, capsys, monkeypatch, argv):
         parsed = []
-        command = cli._build_parser().commands[argv[0]]
-        parse = command.parse_known_args
+        parser = cli._build_parser()
+        parse = parser.parse_known_args
 
         def counted(*args, **kwargs):
             parsed.append(args)
             return parse(*args, **kwargs)
 
-        monkeypatch.setattr(command, "parse_known_args", counted)
+        monkeypatch.setattr(parser, "parse_known_args", counted)
         TestParserReuse.call(capsys, argv)
         assert len(parsed) == 1
 
     def test_an_option_of_another_kind_is_left_to_argparse(self):
         command = argparse.ArgumentParser()
-        actions = [
-            command.add_argument("-x", action="append"),
-            command.add_argument("-y", nargs="?"),
-            command.add_argument("-z"),
-        ]
-        grammar = cli._plain_grammar(command, actions)
+        command.add_argument("-x", action="append")
+        command.add_argument("-y", nargs="?")
+        command.add_argument("-z")
+        grammar = cli._plain_grammar(command)
         assert list(grammar[0]) == ["-z"]
+        assert cli._parse_plain(grammar, ["cmd", "-h"]) is None
+        assert cli._parse_plain(grammar, ["cmd", "--help"]) is None
         assert cli._parse_plain(grammar, ["cmd", "-x", "1"]) is None
         assert cli._parse_plain(grammar, ["cmd", "-y", "1"]) is None
         got = cli._parse_plain(grammar, ["cmd", "-z", "1"])
@@ -1053,7 +1084,12 @@ class TestPlainParse:
 class TestCountDigitLimit:
     # count fails before counting when the answer is too long for str(), and
     # must answer exactly as a late failure in str() would
-    EXACT = {"T": count_t, "S": count_units, "E-Sigma": count_sigma_idempotents}
+    EXACT = {
+        "T": count_t,
+        "Sigma": count_sigma_grouped,
+        "S": count_units,
+        "E-Sigma": count_sigma_idempotents,
+    }
 
     @pytest.fixture
     def digit_limit(self):
@@ -1062,7 +1098,10 @@ class TestCountDigitLimit:
         sys.set_int_max_str_digits(old)
 
     @pytest.mark.parametrize("fmt", ["lines", "json", "csv"])
-    @pytest.mark.parametrize("size, mult, set_name", [(3, 8602, "S"), (3, 5914, "T"), (3, 6689, "E-Sigma")])
+    @pytest.mark.parametrize(
+        "size, mult, set_name",
+        [(3, 8602, "S"), (3, 5914, "T"), (3, 6689, "E-Sigma"), (1, 1600, "Sigma")],
+    )
     def test_answer_over_the_limit(self, capsys, size, mult, set_name, fmt):
         value = self.EXACT[set_name](PartitionProfile(((size, mult),)))
         with pytest.raises(ValueError) as late:
@@ -1071,18 +1110,46 @@ class TestCountDigitLimit:
         got = run(capsys, *argv)
         assert got == (2, "", f"error: {late.value}\n")
 
-    def test_fails_before_counting(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("counted an answer too long to print")
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("counted an answer too long to print")
 
-        monkeypatch.setattr(cli, "_member_count", refuse)
+    def test_fails_before_counting(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_member_count", self.refuse)
         code, out, err = run(capsys, "count", "--profile", "3:8602", "--set", "S")
+        assert (code, out) == (2, "")
+        assert "Exceeds the limit (4300 digits)" in err
+
+    @pytest.mark.parametrize("guard", [[], ["--guard", "5"]])
+    def test_sigma_fails_before_its_count(self, capsys, monkeypatch, guard):
+        # the m! characters bound Sigma below; over the limit it exits 2
+        # before any work, even where its states exceed the guard
+        monkeypatch.setattr(counting, "_count_sigma_grouped", self.refuse)
+        with pytest.raises(ValueError) as late:
+            str(10 ** sys.get_int_max_str_digits())
+        got = run(capsys, "count", "--profile", "1:100000", "--set", "Sigma", *guard)
+        assert got == (2, "", f"error: {late.value}\n")
+
+    def test_sigma_on_singletons_on_both_sides_of_the_limit(self, capsys, monkeypatch, digit_limit):
+        # |Sigma| on m singletons is m!, so the bound is exact there: 1558!
+        # has 4300 digits and prints, 1559! has 4303 and fails before counting
+        digit_limit(4300)
+        assert run(capsys, "count", "--profile", "1:1558", "--set", "Sigma") == (
+            0,
+            f"{factorial(1558)}\n",
+            "",
+        )
+        monkeypatch.setattr(counting, "_count_sigma_grouped", self.refuse)
+        code, out, err = run(capsys, "count", "--profile", "1:1559", "--set", "Sigma")
         assert (code, out) == (2, "")
         assert "Exceeds the limit (4300 digits)" in err
 
     @pytest.mark.parametrize(
         "set_name, size",
-        [("T", 1), ("T", 2), ("T", 3), ("S", 1), ("S", 2), ("S", 3), ("E-Sigma", 2), ("E-Sigma", 3)],
+        [
+            ("T", 1), ("T", 2), ("T", 3), ("Sigma", 1), ("Sigma", 2),
+            ("S", 1), ("S", 2), ("S", 3), ("E-Sigma", 2), ("E-Sigma", 3),
+        ],
     )
     def test_answers_around_the_limit(self, capsys, digit_limit, set_name, size):
         limit = 640  # the smallest limit CPython accepts

@@ -26,10 +26,9 @@ from partmaps.core import (
     parse_partition,
     parse_transformation,
     _profile_of_sizes,
-    _profile_of_text,
     profile_of,
 )
-from strategies import partitions, transformations
+from strategies import partitions, shuffled_text, transformations
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -124,13 +123,6 @@ def test_accepted_maps_print_as_parseable_text(f, g):
 
 
 
-def _shuffled_text(blocks, rng):
-    """Partition text with the blocks, and the points in each block, in random order."""
-    blocks = [rng.sample(b, len(b)) for b in blocks]
-    rng.shuffle(blocks)
-    return "|".join(",".join(map(str, b)) for b in blocks)
-
-
 class TestParsersMatchValidatedConstructors:
     # the parsers build through the trusted builders; what they return must be
     # indistinguishable from the validating constructors' objects
@@ -139,7 +131,7 @@ class TestParsersMatchValidatedConstructors:
     def test_every_partition(self, n):
         rng = random.Random(n)
         for ref in iter_partitions(n):
-            text = _shuffled_text(ref.blocks, rng)
+            text = shuffled_text(ref.blocks, rng)
             expected = SetPartition(tuple(reversed(ref.blocks)))
             for got in (parse_partition(text), parse_partition(text, n)):
                 assert type(got) is SetPartition
@@ -298,32 +290,6 @@ class TestProfile:
 
     def test_cache_is_bounded(self):
         assert _profile_of_sizes.cache_info().maxsize == CACHE_SIZE
-        assert _profile_of_text.cache_info().maxsize == CACHE_SIZE
-
-
-class TestProfileOfText:
-    # the profile read straight from partition text, as count -p reads it
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_every_partition(self, n):
-        rng = random.Random(n)
-        for p in iter_partitions(n):
-            text = _shuffled_text(p.blocks, rng)
-            for _ in range(2):  # computed, then read back
-                assert _profile_of_text(text) is profile_of(parse_partition(text))
-
-    @pytest.mark.parametrize("text", [" 0 , 1 | 2 ", "+0,1|2", "2|1,0", "0"])
-    def test_spellings_int_accepts(self, text):
-        assert _profile_of_text(text) is profile_of(parse_partition(text))
-
-    @pytest.mark.parametrize(
-        "case, blocks, text, message",
-        [*bad_input.PARTITIONS, ("not an int", None, "0,x|2", "invalid point 'x'")],
-    )
-    def test_bad_text_raises_the_parser_error(self, case, blocks, text, message):
-        for _ in range(2):  # an error is not kept
-            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-                _profile_of_text(text)
 
 
 class TestTransformationType:

@@ -274,7 +274,39 @@ def built(monkeypatch):
     return count
 
 
+@pytest.fixture
+def pulled(monkeypatch):
+    """Counts the T members drawn from ``iter_t``, as the filter behind E-T draws them."""
+    count = [0]
+    iter_t = enumeration.iter_t
+
+    def counting_iter_t(*args, **kwargs):
+        for f in iter_t(*args, **kwargs):
+            count[0] += 1
+            yield f
+
+    monkeypatch.setattr(enumeration, "iter_t", counting_iter_t)
+    return count
+
+
 class TestLaziness:
+    # a --limit request builds a prefix, never the whole set; the guard is
+    # raised past 9**9 so that only the laziness bounds the work
+
+    @pytest.mark.parametrize("strategy", enumeration.STRATEGIES)
+    def test_e_t_prefix_pulls_only_a_prefix_of_t(self, pulled, strategy):
+        out = enumerate_idempotents(
+            NINE_SINGLETONS, ambient="t", strategy=strategy, limit=3, guard=10**9
+        )
+        assert [f.images[7:] for f in out] == [(0, 0), (0, 8), (7, 0)]
+        assert out.truncated
+        assert pulled[0] == 71  # the fourth idempotent is T's 71st member of 9**9
+
+    def test_brute_t_prefix_builds_only_the_prefix(self, built):
+        out = enumerate_t(NINE_SINGLETONS, strategy="brute", limit=3, guard=10**9)
+        assert [f.images for f in out] == [(0,) * 8 + (y,) for y in range(3)]
+        assert built[0] == 4
+
     def test_t_prefix_builds_only_the_prefix(self, built):
         out = enumerate_t(NINE_SINGLETONS, limit=3)
         assert [f.images for f in out] == [(0,) * 8 + (y,) for y in range(3)]
