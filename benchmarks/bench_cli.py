@@ -40,7 +40,16 @@ must print the same stdout.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import paired
+
+# the predicate names, and so the metric names, come from this checkout;
+# every tree measured must report the same predicates
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from partmaps.cli import PREDICATES
 
 # runs inside the child interpreter; prints one JSON object
 MEASURE = """
@@ -113,19 +122,9 @@ out["parse_transformation_us"] = median_us(parse_transformation, maps)
 print(json.dumps(out))
 """
 
-PREDICATES = (
-    "preserves",
-    "sigma",
-    "sigma_character",
-    "sigma_topology",
-    "estar",
-    "units",
-    "idempotent",
-    "sigma_idempotent",
-)
 METRICS = (
     "first_call_ms",
-    *(f"check_{pred}_ms" for pred in PREDICATES),
+    *(f"check_{pred.replace('-', '_')}_ms" for pred in PREDICATES),
     "count_sigma_ms",
     "enumerate_s_ms",
     "quotient7_ms",

@@ -11,7 +11,8 @@ Examples::
     partmaps verify --n-max 5
 
 Exit codes: 0 success or predicate true, 1 predicate false (or a failed
-verification), 2 input error, 3 work guard exceeded.
+verification), 2 input error, 3 work guard exceeded, 141 stdout closed by
+its reader (as a shell reports a writer killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -570,6 +572,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: stdout now drops what is left in its buffer,
+        # so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ construction, each on a path whose cost a workload measures:
 
 They produce instances of exactly these classes, so equality, order and
 hashing are the same whichever way an object was made.  Everything else,
-profiles and block maps included, goes through its validating constructor.
+profiles included, goes through its validating constructor.
 """
 
 from __future__ import annotations
@@ -266,69 +266,6 @@ class CharacterMap:
 
     def __str__(self) -> str:
         return ",".join(map(str, self.images))
-
-
-@dataclass(frozen=True)
-class BlockMap:
-    """The restriction of a transformation to one block, into one block."""
-
-    domain_index: int
-    codomain_index: int
-    domain: tuple[int, ...]
-    codomain: tuple[int, ...]
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != len(self.domain):
-            raise ValueError("image table length must match the domain block")
-        cod = set(self.codomain)
-        for y in self.images:
-            if y not in cod:
-                raise ValueError(f"image {y} not in codomain block {self.codomain}")
-
-    def __call__(self, x: int) -> int:
-        return self.images[self.domain.index(x)]
-
-    def is_selfmap(self) -> bool:
-        return self.domain_index == self.codomain_index
-
-    def is_bijection(self) -> bool:
-        """True when the restriction maps its block onto the codomain block."""
-        return len(set(self.images)) == len(self.codomain)
-
-    def is_idempotent(self) -> bool:
-        """True when the restriction is a selfmap of its block fixing its image."""
-        if not self.is_selfmap():
-            return False
-        send = dict(zip(self.domain, self.images))
-        return all(send[send[x]] == send[x] for x in self.domain)
-
-
-@dataclass(frozen=True)
-class BlockMapFamily:
-    """One block map per block; gluing them reproduces a unique transformation."""
-
-    partition: SetPartition
-    maps: tuple[BlockMap, ...]
-
-    def __iter__(self) -> Iterator[BlockMap]:
-        return iter(self.maps)
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-    def __getitem__(self, i: int) -> BlockMap:
-        return self.maps[i]
-
-    def character(self) -> CharacterMap:
-        return CharacterMap(tuple(bm.codomain_index for bm in self.maps))
-
-    def glue(self) -> Transformation:
-        images = [0] * self.partition.n
-        for bm in self.maps:
-            for x, y in zip(bm.domain, bm.images):
-                images[x] = y
-        return Transformation(tuple(images))
 
 
 def _image_table(images) -> tuple[int, ...]:

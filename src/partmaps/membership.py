@@ -16,8 +16,6 @@ so that equivalence checks compare them only on their common domain.
 from __future__ import annotations
 
 from .core import (
-    BlockMap,
-    BlockMapFamily,
     CharacterMap,
     SetPartition,
     Transformation,
@@ -74,20 +72,17 @@ def character(f: Transformation, p: SetPartition) -> CharacterMap:
     return _trusted_character(tuple(out))
 
 
-def block_map_family(f: Transformation, p: SetPartition) -> BlockMapFamily:
-    """The family of restrictions of f to the blocks, one per block.
+def block_map_family(f: Transformation, p: SetPartition) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The restrictions of f to the blocks, each with the block it maps into.
 
-    Block i maps into block chi(i); raises :class:`NotPreservingError`
-    when f does not preserve p.
+    Entry i is ``(chi(i), images of block i)``, in block order: f sends
+    block i into block chi(i), and the images are listed in the order of
+    the block's points.  Raises :class:`NotPreservingError` when f does not
+    preserve p.
     """
-    blocks = p.blocks
     get = f.images.__getitem__
-    return BlockMapFamily(
-        p,
-        tuple(
-            BlockMap(i, j, blocks[i], blocks[j], tuple(map(get, blocks[i])))
-            for i, j in enumerate(character(f, p).images)
-        ),
+    return tuple(
+        (j, tuple(map(get, block))) for j, block in zip(character(f, p).images, p.blocks)
     )
 
 

@@ -49,6 +49,20 @@ def o_character(images, blocks, table):
     return tuple(table[images[block[0]]] for block in blocks)
 
 
+def o_block_restrictions(images, blocks, table):
+    """Per block, the index of the block it lands in and its points' images."""
+    return tuple((table[images[block[0]]], tuple(images[x] for x in block)) for block in blocks)
+
+
+def o_blockwise_idempotent(images, blocks, table):
+    """True when each block given maps into itself, onto fixed points."""
+    return all(
+        table[images[x]] == table[x] and images[images[x]] == images[x]
+        for block in blocks
+        for x in block
+    )
+
+
 def all_maps(n):
     return itertools.product(range(n), repeat=n)
 

@@ -3,10 +3,13 @@ import csv
 import io
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -756,6 +759,37 @@ class TestUsageErrors:
             main([*argv, "--limit", "3"])
         assert err.value.code == 2
         assert "unrecognized arguments: --limit 3" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    @pytest.mark.parametrize(
+        "argv, first",
+        [
+            (["enumerate", "-p", "0|1|2|3|4|5", "--set", "T"], "0,0,0,0,0,0"),
+            (["quotient", "-p", "0|1|2|3|4|5|6"], "0,1,2,3,4,5,6 1"),
+        ],
+    )
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_reader_that_stops_early_gets_exit_141(self, argv, first, unbuffered):
+        # as in `partmaps enumerate ... | head -1`: no traceback, and not exit 1,
+        # which would read as "predicate false"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(
+            [sys.executable, "-m", "partmaps", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        ) as proc:
+            assert proc.stdout.readline() == first + "\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
 
 
 class TestParserReuse:

@@ -4,8 +4,6 @@ from hypothesis import given
 import bad_input
 import oracles
 from partmaps.core import (
-    BlockMap,
-    BlockMapFamily,
     CharacterMap,
     SetPartition,
     Transformation,
@@ -97,16 +95,13 @@ class TestCharacter:
 
 class TestBlockMapFamily:
     def test_permutation_family(self):
-        fam = block_map_family(t(1, 0, 2), P3)
-        assert [(bm.codomain_index, bm.images) for bm in fam] == [(0, (1, 0)), (1, (2,))]
+        assert block_map_family(t(1, 0, 2), P3) == ((0, (1, 0)), (1, (2,)))
 
     def test_block_swap_family(self):
-        fam = block_map_family(t(2, 2, 0), P3)
-        assert [(bm.codomain_index, bm.images) for bm in fam] == [(1, (2, 2)), (0, (0,))]
+        assert block_map_family(t(2, 2, 0), P3) == ((1, (2, 2)), (0, (0,)))
 
     def test_constant_family(self):
-        fam = block_map_family(t(0, 0, 0), P3)
-        assert [(bm.codomain_index, bm.images) for bm in fam] == [(0, (0, 0)), (0, (0,))]
+        assert block_map_family(t(0, 0, 0), P3) == ((0, (0, 0)), (0, (0,)))
 
     def test_non_preserving_rejected(self):
         with pytest.raises(NotPreservingError):
@@ -116,8 +111,13 @@ class TestBlockMapFamily:
     def test_gluing_reproduces_the_map(self, case):
         p, f = case
         fam = block_map_family(f, p)
-        assert fam.glue() == f
-        assert fam.character() == character(f, p)
+        images = [None] * p.n
+        for block, (j, block_images) in zip(p.blocks, fam, strict=True):
+            assert set(block_images) <= set(p.blocks[j])
+            for x, y in zip(block, block_images, strict=True):
+                images[x] = y
+        assert tuple(images) == f.images
+        assert tuple(j for j, _ in fam) == character(f, p).images
 
 
 class TestInSigma:
@@ -307,29 +307,25 @@ class TestAgainstOracles:
                     continue
                 chi = character(f, p)
                 assert chi.is_idempotent()
-                fam = block_map_family(f, p)
-                for i in set(chi.images):
-                    assert fam[i].is_idempotent()
+                # each block that some block lands in maps into itself onto fixed points
+                hit = [blocks[i] for i in set(chi.images)]
+                assert oracles.o_blockwise_idempotent(images, hit, table)
+
+    def test_block_map_family_is_the_restrictions_exhaustive(self):
+        for n, blocks, p, table in all_cases(4):
+            for images in oracles.all_maps(n):
+                f = Transformation(images)
+                if oracles.o_preserves(images, blocks, table):
+                    expected = oracles.o_block_restrictions(images, blocks, table)
+                    assert block_map_family(f, p) == expected
+                else:
+                    with pytest.raises(NotPreservingError):
+                        block_map_family(f, p)
 
 
-def validated_results(f, p):
-    """The character and block-map family of a preserving f, built through
-    the validating constructors."""
-    chi = CharacterMap(tuple(p.block_index[f.images[block[0]]] for block in p.blocks))
-    family = BlockMapFamily(
-        p,
-        tuple(
-            BlockMap(
-                domain_index=i,
-                codomain_index=chi.images[i],
-                domain=block,
-                codomain=p.blocks[chi.images[i]],
-                images=tuple(f.images[x] for x in block),
-            )
-            for i, block in enumerate(p.blocks)
-        ),
-    )
-    return chi, family
+def validated_character(f, p):
+    """The character of a preserving f, built through the validating constructor."""
+    return CharacterMap(tuple(p.block_index[f.images[block[0]]] for block in p.blocks))
 
 
 def t_members(n_max):
@@ -340,30 +336,20 @@ def t_members(n_max):
 
 
 class TestTrustedResults:
-    """``character`` skips validation and ``block_map_family`` builds on it;
-    their results must be indistinguishable from validated ones."""
+    """``character`` skips validation; its results must be indistinguishable
+    from validated ones."""
 
     def test_character_equals_the_validated_map(self):
         for p, f in t_members(5):
-            chi, _ = validated_results(f, p)
+            chi = validated_character(f, p)
             got = character(f, p)
             assert type(got) is CharacterMap
             assert got == chi and hash(got) == hash(chi) and str(got) == str(chi)
 
-    def test_block_map_family_equals_the_validated_family(self):
-        for p, f in t_members(5):
-            _, family = validated_results(f, p)
-            got = block_map_family(f, p)
-            assert type(got) is BlockMapFamily
-            assert all(type(bm) is BlockMap for bm in got)
-            assert got == family and hash(got) == hash(family)
-
-    def test_blockwise_idempotence_matches_the_block_map_route(self):
-        # the old route through validated BlockMap objects is the oracle
+    def test_blockwise_idempotence_matches_the_oracle(self):
         for p, f in t_members(5):
             if in_sigma(f, p):
-                _, family = validated_results(f, p)
-                expected = all(bm.is_idempotent() for bm in family)
+                expected = oracles.o_blockwise_idempotent(f.images, p.blocks, p.block_index)
                 assert sigma_idempotent_via_blocks(f, p) == expected
 
     def test_blockwise_idempotence_rejects_maps_outside_sigma(self):
