@@ -18,13 +18,12 @@ its reader (as a shell reports a writer killed by SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import os
 import sys
 from collections.abc import Sequence
 
+from . import counting, cycles, enumeration, verification
 from .core import (
     CACHE_SIZE,
     DEFAULT_GUARD,
@@ -40,9 +39,6 @@ from .core import (
     parse_transformation,
     profile_of,
 )
-from .counting import _log10_factorial, count_sigma_grouped, log10_count
-from .cycles import find_preserved_partition, preserved_m_partition_exists
-from .enumeration import _class_count, _class_table, _collect, _member_count
 from .membership import (
     NotPreservingError,
     _require_same_n,
@@ -56,7 +52,6 @@ from .membership import (
     sigma_via_character,
     sigma_via_topology,
 )
-from .verification import run_verification
 
 # predicate name -> predicate(f, p); ``idempotent`` ignores p.  Each entry
 # looks its function up when called, so a wrapper put on the module name (a
@@ -83,10 +78,14 @@ INT_STR_LIMIT_MESSAGE = (
 
 
 def _emit_json(payload: dict) -> None:
+    import json  # here, so that a call printing lines never loads it
+
     print(json.dumps(payload))
 
 
 def _emit_csv(rows: list[Sequence[str]]) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerows(rows)
 
@@ -182,9 +181,9 @@ def _check_printable(profile: PartitionProfile, set_name: str) -> None:
     if not limit:
         return
     if set_name == "Sigma":
-        estimate = _log10_factorial(profile.m)
+        estimate = counting._log10_factorial(profile.m)
     else:
-        estimate = log10_count(profile, set_name)
+        estimate = counting.log10_count(profile, set_name)
     if estimate is not None and estimate > (limit + 1) * (1 + 1e-9):
         raise ValueError(INT_STR_LIMIT_MESSAGE.format(limit))
 
@@ -218,7 +217,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         profile = _parse_profile(args.profile)
     _check_printable(profile, args.set)
-    _, value = _member_count(profile, args.set, args.guard)  # E-T is rejected by the parser
+    # E-T is rejected by the parser
+    _, value = enumeration._member_count(profile, args.set, args.guard)
     text = _decimal(value)
     if args.format == "json":
         _emit_json(
@@ -238,7 +238,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     p = parse_partition(args.partition)
-    result = _collect(p, args.set, args.strategy, args.limit, args.guard)
+    result = enumeration._collect(p, args.set, args.strategy, args.limit, args.guard)
     maps, truncated = result.maps, result.truncated
     if args.format == "json":
         _emit_json(
@@ -270,9 +270,9 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     table's columns with no object per class.
     """
     p = parse_partition(args.partition)
-    expected = _class_count(p.m, args.guard)
-    sigma_count = count_sigma_grouped(profile_of(p), guard=args.guard)
-    characters, representatives, sizes = _class_table(p, guard=args.guard, text=True)
+    expected = enumeration._class_count(p.m, args.guard)
+    sigma_count = counting.count_sigma_grouped(profile_of(p), guard=args.guard)
+    characters, representatives, sizes = enumeration._class_table(p, guard=args.guard, text=True)
     total = sum(sizes)
     consistent = len(sizes) == expected and total == sigma_count
     size_texts = map(str, sizes)
@@ -328,9 +328,9 @@ def cmd_character(args: argparse.Namespace) -> int:
 def cmd_find_partition(args: argparse.Namespace) -> int:
     f = parse_transformation(args.map)
     if args.m is not None:
-        _, witness = preserved_m_partition_exists(f, args.m)
+        _, witness = cycles.preserved_m_partition_exists(f, args.m)
     else:
-        witness = find_preserved_partition(f)
+        witness = cycles.find_preserved_partition(f)
     verified = None
     if witness is not None and args.verify:
         if f.is_bijection():
@@ -362,7 +362,7 @@ def cmd_find_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verification(args.n_max, guard=args.guard)
+    results = verification.run_verification(args.n_max, guard=args.guard)
     all_passed = all(r.passed for r in results)
     if args.format == "json":
         _emit_json(
@@ -565,7 +565,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # reject a bad guard even where the subcommand never consults it
         check_guard(0, args.guard, "nothing")
-        return args.func(args)
+        code = args.func(args)
+        # an output that fits stdout's buffer meets a gone reader here, not
+        # in the interpreter's last flush after main has returned
+        sys.stdout.flush()
+        return code
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

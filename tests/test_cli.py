@@ -15,7 +15,7 @@ import pytest
 
 import bad_input
 import oracles
-from partmaps import cli, counting
+from partmaps import cli, counting, enumeration
 from partmaps.cli import PREDICATES, main
 from partmaps.core import (
     CACHE_SIZE,
@@ -438,8 +438,8 @@ class TestQuotient:
         def refuse(*args, **kwargs):
             raise AssertionError("worked past a guard that was exceeded")
 
-        monkeypatch.setattr(cli, "count_sigma_grouped", refuse)
-        monkeypatch.setattr(cli, "_class_table", refuse)
+        monkeypatch.setattr(counting, "count_sigma_grouped", refuse)
+        monkeypatch.setattr(enumeration, "_class_table", refuse)
         # six classes exceed a guard of 5; the Sigma count's 3 states would not
         code, out, err = run(capsys, "quotient", "-p", "0|1|2", "--guard", "5")
         assert (code, out) == (3, "")
@@ -447,13 +447,13 @@ class TestQuotient:
 
     def test_sigma_count_guard_fails_before_any_class_is_built(self, capsys, monkeypatch):
         calls = [0]
-        table = cli._class_table
+        table = enumeration._class_table
 
         def counting_table(*args, **kwargs):
             calls[0] += 1
             return table(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_class_table", counting_table)
+        monkeypatch.setattr(enumeration, "_class_table", counting_table)
         code, out, err = run(capsys, "quotient", "-p", "0|1,2", "--guard", "2")
         assert (code, out, calls[0]) == (3, "", 0)
         assert "Sigma count states" in err
@@ -764,6 +764,13 @@ class TestUsageErrors:
 class TestClosedStdout:
     SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+    def env(self, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
     @pytest.mark.parametrize(
         "argv, first",
         [
@@ -775,21 +782,36 @@ class TestClosedStdout:
     def test_a_reader_that_stops_early_gets_exit_141(self, argv, first, unbuffered):
         # as in `partmaps enumerate ... | head -1`: no traceback, and not exit 1,
         # which would read as "predicate false"
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         with subprocess.Popen(
             [sys.executable, "-m", "partmaps", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=self.env(unbuffered),
             text=True,
         ) as proc:
             assert proc.stdout.readline() == first + "\n"
             proc.stdout.close()
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == ""
+
+    def test_a_reader_gone_before_a_buffered_answer_gets_exit_141(self):
+        # as in `partmaps check ... | true`: the answer fits stdout's buffer,
+        # so the write that fails is the flush after the command has returned
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "partmaps", "check", "-p", "0,1|2", "-f", "2,2,0",
+                 "--predicate", "sigma"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=self.env(False),
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
 
 class TestParserReuse:
@@ -1149,7 +1171,7 @@ class TestCountDigitLimit:
         raise AssertionError("counted an answer too long to print")
 
     def test_fails_before_counting(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_member_count", self.refuse)
+        monkeypatch.setattr(enumeration, "_member_count", self.refuse)
         code, out, err = run(capsys, "count", "--profile", "3:8602", "--set", "S")
         assert (code, out) == (2, "")
         assert "Exceeds the limit (4300 digits)" in err
