@@ -11,8 +11,11 @@ Examples::
     partmaps verify --n-max 5
 
 Exit codes: 0 success or predicate true, 1 predicate false (or a failed
-verification), 2 input error, 3 work guard exceeded, 141 stdout closed by
-its reader (as a shell reports a writer killed by SIGPIPE).
+verification), 2 input error, 3 work guard exceeded (for ``count`` also by
+the charge on its answer's digits, made before counting), 141 stdout
+closed by its reader (as a shell reports a writer killed by SIGPIPE).
+
+Integers print exactly at any length: ``_int_text`` writes every one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from . import counting, cycles, enumeration, verification
 from .core import (
@@ -69,12 +72,9 @@ PREDICATES = {
 
 SETS = ("T", "Sigma", "S", "E-Sigma", "E-T")
 
-# CPython's text for an int too long for str(), so that failing early reads
-# the same as failing in str() itself
-INT_STR_LIMIT_MESSAGE = (
-    "Exceeds the limit ({} digits) for integer string conversion; "
-    "use sys.set_int_max_str_digits() to increase the limit"
-)
+# ints of fewer bits than this have fewer decimal digits than the smallest
+# limit CPython accepts for str(), since 2**3 < 10, so str() writes them all
+_STR_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 
 def _emit_json(payload: dict) -> None:
@@ -165,27 +165,20 @@ def _parse_profile(text: str) -> PartitionProfile:
         raise ParseError(str(exc)) from None
 
 
-def _check_printable(profile: PartitionProfile, set_name: str) -> None:
-    """Raise str()'s ValueError before counting when the count surely has
-    more digits than this interpreter prints.
+def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
+    """Charge ``guard`` with a bound on the work of counting and writing a count.
 
-    A count of d digits has log10 in [d - 1, d), so one whole digit of
-    margin, plus a relative 1e-9 for rounding, leaves every count near the
-    limit to str() itself.  T, S and E-Sigma read their log10 from
-    ``log10_count``.  Sigma reads a lower bound, log10(m!): each of the m!
-    bijections of the blocks is the character of at least one member (see
-    ``chi_classes``), and on m singletons the bound is the count itself.
+    T, S and E-Sigma are charged their answer's decimal digits, read from
+    ``log10_count`` without building it.  Sigma is charged m times the
+    digits of T's count: Sigma lies in T, so its count is no longer, and
+    the grouped count does m rounds of multiply-adds on numbers that long.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    limit = get_limit() if get_limit is not None else 0
-    if not limit:
-        return
     if set_name == "Sigma":
-        estimate = counting._log10_factorial(profile.m)
+        rounds, bound, what = profile.m, "T", "Sigma count digit rounds"
     else:
-        estimate = counting.log10_count(profile, set_name)
-    if estimate is not None and estimate > (limit + 1) * (1 + 1e-9):
-        raise ValueError(INT_STR_LIMIT_MESSAGE.format(limit))
+        rounds, bound, what = 1, set_name, f"{set_name} count digits"
+    digits = int(counting.log10_count(profile, bound)) + 1
+    check_guard(rounds * digits, guard, what)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -198,15 +191,64 @@ def _profile_of_text(text: str) -> PartitionProfile:
     return profile_of(parse_partition(text))
 
 
+def _int_text(value: int) -> str:
+    """``str(value)`` for an int of any length, in less than quadratic time.
+
+    Every integer the CLI prints is written here.  ``str()`` writes an
+    int of fewer than ``_STR_BITS`` bits; it refuses longer ones past
+    ``sys.get_int_max_str_digits()`` (4300 digits by default) because its
+    conversion takes time quadratic in the length.  A longer int is split
+    at a power of two, high * 2**w + low, each half written the same way
+    down to ``_STR_BITS`` bits, and the halves are joined in ``decimal``,
+    where exact products of large numbers are fast and a whole number
+    prints in linear time.  The limit is never lifted: it is one setting
+    for the whole process.
+    """
+    if value.bit_length() < _STR_BITS:
+        return str(value)
+    import decimal  # here, so that a call printing short ints never loads it
+
+    powers: dict[int, decimal.Decimal] = {}  # w -> 2**w
+
+    def power(w: int) -> decimal.Decimal:
+        got = powers.get(w)
+        if got is None:
+            half = w >> 1
+            got = decimal.Decimal(1 << w) if w < _STR_BITS else power(half) * power(w - half)
+            powers[w] = got
+        return got
+
+    def convert(n: int, w: int) -> decimal.Decimal:  # 0 <= n < 2**w
+        if w < _STR_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        high = n >> half
+        return convert(high, w - half) * power(half) + convert(n - (high << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # a rounded step raises, never prints
+        text = str(convert(abs(value), value.bit_length()))
+    return "-" + text if value < 0 else text
+
+
+def _int_writer(bound: int) -> Callable[[int], str]:
+    """The writer of ints no longer than ``bound``: ``str`` itself when
+    ``_int_text`` would hand them all to it, so that many short ints are
+    written with no Python call each."""
+    return str if bound.bit_length() < _STR_BITS else _int_text
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _decimal(count: int) -> str:
-    """``str(count)``, kept for the counts the formulas keep.
+    """``_int_text(count)``, kept for the counts the formulas keep.
 
-    Writing a count of a few thousand digits in decimal takes time
-    quadratic in its length, hundreds of times the cached formula's lookup,
-    so a repeated ``count`` would otherwise cost as much as its first.
+    Writing a count of a few thousand digits in decimal costs hundreds of
+    times the cached formula's lookup, so a repeated ``count`` would
+    otherwise cost as much as its first.
     """
-    return str(count)
+    return _int_text(count)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -216,9 +258,9 @@ def cmd_count(args: argparse.Namespace) -> int:
         profile = _profile_of_text(args.partition)
     else:
         profile = _parse_profile(args.profile)
-    _check_printable(profile, args.set)
     # E-T is rejected by the parser
-    _, value = enumeration._member_count(profile, args.set, args.guard)
+    _charge_count(profile, args.set, args.guard)
+    _, value = counting._member_count(profile, args.set, args.guard)
     text = _decimal(value)
     if args.format == "json":
         _emit_json(
@@ -275,7 +317,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     characters, representatives, sizes = enumeration._class_table(p, guard=args.guard, text=True)
     total = sum(sizes)
     consistent = len(sizes) == expected and total == sigma_count
-    size_texts = map(str, sizes)
+    # no class is larger than the total
+    size_texts = map(_int_writer(total), sizes)
     if args.format == "json":
         _emit_json(
             {
@@ -287,8 +330,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
                 ],
                 "class_count": len(sizes),
                 "expected_class_count": expected,
-                "total": str(total),
-                "sigma_count": str(sigma_count),
+                "total": _int_text(total),
+                "sigma_count": _int_text(sigma_count),
                 "consistent": consistent,
             }
         )
@@ -297,8 +340,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     else:
         print("\n".join(map(" ".join, zip(characters, size_texts))))
         print(
-            f"# classes: {len(sizes)} (expected {expected}), total: {total}, "
-            f"sigma: {sigma_count}, consistent: {str(consistent).lower()}"
+            f"# classes: {len(sizes)} (expected {expected}), total: {_int_text(total)}, "
+            f"sigma: {_int_text(sigma_count)}, consistent: {str(consistent).lower()}"
         )
     return 0 if consistent else 1
 

@@ -125,6 +125,21 @@ def _count_sigma_idempotents(entries: tuple[tuple[int, int], ...]) -> int:
     return prod(idempotent_count(size) ** mult for size, mult in entries)
 
 
+def _member_count(profile: PartitionProfile, set_name: str, guard: int) -> tuple[str, int]:
+    """The size of T, Sigma, S or E-Sigma at ``profile``, with what it counts.
+
+    ``count`` answers from it, and a constructive enumeration charges its
+    guard with it, under the label given here.
+    """
+    if set_name == "T":
+        return "preserving maps", count_t(profile)
+    if set_name == "Sigma":
+        return "Sigma members", count_sigma_grouped(profile, guard)
+    if set_name == "S":
+        return "units", count_units(profile)
+    return "Sigma idempotents", count_sigma_idempotents(profile)
+
+
 def _log10_sum(logs: Iterable[float]) -> float:
     """log10 of a sum of positive terms, given the terms' log10s, in one pass."""
     top, scaled = -inf, 0.0  # the sum is scaled * 10**top

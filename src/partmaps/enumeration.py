@@ -44,7 +44,6 @@ from .core import (
     CACHE_SIZE,
     DEFAULT_GUARD,
     CharacterMap,
-    PartitionProfile,
     SetPartition,
     Transformation,
     _store_images,
@@ -53,12 +52,7 @@ from .core import (
     check_guard,
     profile_of,
 )
-from .counting import (
-    count_sigma_grouped,
-    count_sigma_idempotents,
-    count_t,
-    count_units,
-)
+from .counting import _member_count
 from .membership import in_sigma, in_units, is_idempotent
 
 STRATEGIES = ("brute", "constructive")
@@ -279,17 +273,6 @@ def _members(
         what, required = _member_count(profile_of(p), set_name, guard)
         check_guard(required if limit is None else min(required, limit + 1), guard, what)
     return _kernel(p, set_name)(_store_images)
-
-
-def _member_count(profile: PartitionProfile, set_name: str, guard: int) -> tuple[str, int]:
-    """What the guard of a constructive route counts, and how many there are."""
-    if set_name == "T":
-        return "preserving maps", count_t(profile)
-    if set_name == "Sigma":
-        return "Sigma members", count_sigma_grouped(profile, guard)
-    if set_name == "S":
-        return "units", count_units(profile)
-    return "Sigma idempotents", count_sigma_idempotents(profile)
 
 
 def _idempotent_set(ambient: str) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import factorial
 from operator import attrgetter, eq, itemgetter
 from time import perf_counter
@@ -130,11 +130,18 @@ class _Tally:
         return CheckResult(self.name, self.failures == 0, self.cases, detail, self.seconds)
 
 
-def _census(p: SetPartition, guard: int) -> dict[str, list[Transformation]]:
+def _census(p: SetPartition, guard: int) -> dict[str, list]:
+    """The brute-force members of each set at p, with ``in_sigma`` on each of T.
+
+    ``"in_sigma"`` holds the answer for every member of ``"t"``, in order;
+    the four-way law reads it as its first route.
+    """
     t_maps = list(iter_t(p, strategy="brute", guard=guard))
-    sigma = [f for f in t_maps if in_sigma(f, p)]
+    in_sigma_flags = list(map(in_sigma, t_maps, repeat(p)))
+    sigma = list(compress(t_maps, in_sigma_flags))
     return {
         "t": t_maps,
+        "in_sigma": in_sigma_flags,
         "sigma": sigma,
         "units": [f for f in t_maps if in_units(f, p)],
         "e_t": [f for f in t_maps if is_idempotent(f)],
@@ -208,13 +215,13 @@ def _check_containments(tally, p, data, guard):
 
 def _check_four_way(tally, p, data, guard):
     t_maps = data["t"]
-    # every route runs on every member of T
-    a, b, c, d = (
+    # every route runs on every member of T; in_sigma's answers are the census's
+    b, c, d = (
         list(map(route, t_maps, repeat(p)))
-        for route in (in_sigma, sigma_via_character, is_e_star_preserving, sigma_via_topology)
+        for route in (sigma_via_character, is_e_star_preserving, sigma_via_topology)
     )
     tally.check_all(
-        [w == x == y == z for w, x, y, z in zip(a, b, c, d)],
+        [w == x == y == z for w, x, y, z in zip(data["in_sigma"], b, c, d)],
         lambda i: f"{t_maps[i]} at {p}",
     )
 

@@ -12,6 +12,8 @@ from math import factorial, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bad_input
 import oracles
@@ -240,10 +242,13 @@ class TestCount:
         assert (code, out) == (0, f"{oracles.two_class_sigma(2, 30, 3, 30)}\n")
 
     def test_sigma_guard_counts_states(self, capsys):
-        # 1:5 has 6 states less the start state, beyond a guard of 3
-        code, out, err = run(capsys, "count", "--profile", "1:5", "--set", "Sigma", "--guard", "3")
+        # two blocks of each size 1..8 have 3**8 states less the start state,
+        # beyond a guard of 2000, which covers their digit charge of 16 * 76
+        profile = ",".join(f"{size}:2" for size in range(1, 9))
+        argv = ("count", "--profile", profile, "--set", "Sigma", "--guard", "2000")
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
-        assert "Sigma count states needs 5 items" in err
+        assert "Sigma count states needs 6560 items" in err
 
     @pytest.mark.parametrize("fmt", ["lines", "json", "csv"])
     def test_repeated_large_count_prints_the_same(self, capsys, fmt):
@@ -566,6 +571,18 @@ class TestQuotientAgainstOracle:
         got = run(capsys, "quotient", "-p", text, "--format", fmt)
         assert got == (*quotient_oracle(text, fmt), "")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+    def test_two_blocks_of_2000_points(self, capsys, digit_limit, fmt):
+        # each class holds 2000**4000 maps, 13204 digits: the CLI prints them
+        # under the default limit, the oracle's str() with the limit lifted
+        text = "|".join(",".join(map(str, range(start, start + 2000))) for start in (0, 2000))
+        got = run(capsys, "quotient", "-p", text, "--format", fmt)
+        digit_limit(0)
+        assert got == (*quotient_oracle(text, fmt), "")
+
 
 class TestCharacter:
     def test_lines(self, capsys):
@@ -692,8 +709,9 @@ class TestGuardArgument:
         assert err == "error: guard must be positive\n"
 
     def test_guard_of_one_is_accepted(self, capsys):
-        code, out, _ = run(capsys, "count", "--profile", "2:1,1:1", "--set", "T", "--guard", "1")
-        assert (code, out) == (0, "15\n")
+        # 2:1 has |T| = 4, one digit, all a guard of 1 covers
+        code, out, _ = run(capsys, "count", "--profile", "2:1", "--set", "T", "--guard", "1")
+        assert (code, out) == (0, "4\n")
 
 
 class TestBadInputParity:
@@ -1069,7 +1087,7 @@ class TestPlainParse:
         (["count", "--profile", "7:2,8:2", "--set", "T"], 0),
         (["count", "--profile", "29:12", "--set", "T"], 0),
         (["count", "--profile", "3:4,4:4,7:4", "--set", "Sigma"], 0),
-        (["count", "--profile", "3:5914", "--set", "T"], 2),
+        (["count", "--profile", "3:5914", "--set", "T"], 0),
         (["enumerate", "-p", "5,3,2|1,4,6,0", "--set", "Sigma", "--limit", "3"], 0),
         (["enumerate", "-p", "3|0|2|6|4|5|1|7", "--set", "S", "--limit", "3"], 0),
         (["enumerate", "-p", "8,3,2,4,1|6,9,5,0,7", "--set", "E-Sigma", "--limit", "3"], 0),
@@ -1134,12 +1152,74 @@ class TestPlainParse:
         assert vars(got) == {"command": "cmd", "x": None, "y": None, "z": "1", "func": None}
 
 
+@pytest.fixture
+def digit_limit():
+    """Set the int-to-str digit limit for one test; the old one comes back after."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def exact_str(value):
+    """str() of an int of any length: the digit limit is lifted for the call alone."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def count_output(set_name, profile_text, text, fmt):
+    """The stdout of ``count --profile profile_text --set set_name --format fmt``
+    for a count whose decimal text is ``text``."""
+    if fmt == "json":
+        payload = {"command": "count", "set": set_name, "profile": profile_text, "count": text}
+        return json.dumps(payload) + "\n"
+    if fmt == "csv":
+        return f"set,count\n{set_name},{text}\n"
+    return text + "\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestIntText:
+    # the one writer of the integers the CLI prints, under the default limit
+
+    @pytest.mark.parametrize("k", [639, 640, 641, 4299, 4300, 4301, 99_999, 100_000, 100_001])
+    def test_powers_of_ten_and_their_neighbours(self, k):
+        for value in (10**k, 10**k - 1, -(10**k), 10**k + 1, -(10**k) + 7):
+            assert cli._int_text(value) == exact_str(value)
+
+    @pytest.mark.parametrize("value", [0, 1, -1, 9, -10, 2**64])
+    def test_small_ints(self, value):
+        assert cli._int_text(value) == str(value)
+
+    def test_powers_of_two_around_the_switch(self):
+        # the writer hands ints of fewer than _STR_BITS bits to str()
+        for j in range(cli._STR_BITS - 3, cli._STR_BITS + 4):
+            for value in (2**j, 2**j - 1, -(2**j), 2 ** (3 * j)):
+                assert cli._int_text(value) == exact_str(value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bits=st.integers(0, 166_000), seed=st.integers(0, 2**32), negative=st.booleans())
+    def test_random_ints_up_to_50k_digits(self, bits, seed, negative):
+        value = random.Random(seed).getrandbits(bits) * (-1 if negative else 1)
+        assert cli._int_text(value) == exact_str(value)
+
+    def test_no_source_file_sets_the_process_digit_limit(self):
+        # the limit is one setting for the whole process, and not thread-safe
+        src = Path(cli.__file__).resolve().parent
+        setters = [p.name for p in src.glob("*.py") if "set_int_max_str_digits" in p.read_text()]
+        assert setters == []
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
 )
 class TestCountDigitLimit:
-    # count fails before counting when the answer is too long for str(), and
-    # must answer exactly as a late failure in str() would
+    # count prints answers longer than str() writes, exactly, in every format
     EXACT = {
         "T": count_t,
         "Sigma": count_sigma_grouped,
@@ -1147,58 +1227,50 @@ class TestCountDigitLimit:
         "E-Sigma": count_sigma_idempotents,
     }
 
-    @pytest.fixture
-    def digit_limit(self):
-        old = sys.get_int_max_str_digits()
-        yield sys.set_int_max_str_digits
-        sys.set_int_max_str_digits(old)
-
     @pytest.mark.parametrize("fmt", ["lines", "json", "csv"])
     @pytest.mark.parametrize(
         "size, mult, set_name",
-        [(3, 8602, "S"), (3, 5914, "T"), (3, 6689, "E-Sigma"), (1, 1600, "Sigma")],
+        [(3, 8602, "S"), (3, 5914, "T"), (3, 6689, "E-Sigma"), (1, 1600, "Sigma"), (3, 1000, "T")],
     )
     def test_answer_over_the_limit(self, capsys, size, mult, set_name, fmt):
         value = self.EXACT[set_name](PartitionProfile(((size, mult),)))
-        with pytest.raises(ValueError) as late:
+        with pytest.raises(ValueError):
             str(value)
+        text = exact_str(value)
         argv = ["count", "--profile", f"{size}:{mult}", "--set", set_name, "--format", fmt]
         got = run(capsys, *argv)
-        assert got == (2, "", f"error: {late.value}\n")
+        assert got == (0, count_output(set_name, f"{size}:{mult}", text, fmt), "")
 
     @staticmethod
     def refuse(*args):
-        raise AssertionError("counted an answer too long to print")
+        raise AssertionError("counted past the guard")
 
     def test_fails_before_counting(self, capsys, monkeypatch):
-        monkeypatch.setattr(enumeration, "_member_count", self.refuse)
-        code, out, err = run(capsys, "count", "--profile", "3:8602", "--set", "S")
-        assert (code, out) == (2, "")
-        assert "Exceeds the limit (4300 digits)" in err
+        # 200000^200000 has 1060206 digits, charged before the count is built
+        monkeypatch.setattr(counting, "_count_t", self.refuse)
+        argv = ("count", "--profile", "200000:1", "--set", "T", "--guard", "1000000")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "T count digits needs 1060206 items, exceeds guard 1000000" in err
 
     @pytest.mark.parametrize("guard", [[], ["--guard", "5"]])
     def test_sigma_fails_before_its_count(self, capsys, monkeypatch, guard):
-        # the m! characters bound Sigma below; over the limit it exits 2
-        # before any work, even where its states exceed the guard
+        # Sigma is charged m times the digits of T's count, 10**500000 on
+        # 1:100000, before its states and before any work
         monkeypatch.setattr(counting, "_count_sigma_grouped", self.refuse)
-        with pytest.raises(ValueError) as late:
-            str(10 ** sys.get_int_max_str_digits())
-        got = run(capsys, "count", "--profile", "1:100000", "--set", "Sigma", *guard)
-        assert got == (2, "", f"error: {late.value}\n")
+        code, out, err = run(capsys, "count", "--profile", "1:100000", "--set", "Sigma", *guard)
+        assert (code, out) == (3, "")
+        assert "Sigma count digit rounds needs 50000100000 items" in err
 
-    def test_sigma_on_singletons_on_both_sides_of_the_limit(self, capsys, monkeypatch, digit_limit):
-        # |Sigma| on m singletons is m!, so the bound is exact there: 1558!
-        # has 4300 digits and prints, 1559! has 4303 and fails before counting
-        digit_limit(4300)
-        assert run(capsys, "count", "--profile", "1:1558", "--set", "Sigma") == (
-            0,
-            f"{factorial(1558)}\n",
-            "",
-        )
-        monkeypatch.setattr(counting, "_count_sigma_grouped", self.refuse)
-        code, out, err = run(capsys, "count", "--profile", "1:1559", "--set", "Sigma")
-        assert (code, out) == (2, "")
-        assert "Exceeds the limit (4300 digits)" in err
+    def test_sigma_on_singletons_on_both_sides_of_the_limit(self, capsys):
+        # |Sigma| on m singletons is m!: 1558! has 4300 digits, 1559! has 4303
+        for m in (1558, 1559):
+            want = exact_str(factorial(m))
+            assert run(capsys, "count", "--profile", f"1:{m}", "--set", "Sigma") == (
+                0,
+                f"{want}\n",
+                "",
+            )
 
     @pytest.mark.parametrize(
         "set_name, size",
@@ -1223,10 +1295,5 @@ class TestCountDigitLimit:
                 continue
             got = run(capsys, "count", "--profile", f"{size}:{mult}", "--set", set_name)
             sides.add(len(text) > limit)
-            if len(text) <= limit:
-                assert got == (0, f"{text}\n", "")
-            else:
-                with pytest.raises(ValueError) as late:
-                    str(value)
-                assert got == (2, "", f"error: {late.value}\n")
+            assert got == (0, f"{text}\n", "")
         assert sides == {False, True}

@@ -12,7 +12,8 @@ import partmaps
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # runs in a fresh interpreter: the partmaps modules whose bodies run during
-# one step, as JSON, with the modules json and csv that the step imported
+# one step, as JSON, with those of the modules json, csv and decimal that the
+# step imported
 STEP = """
 import contextlib, io, json, os, sys
 sys.path.insert(0, {src!r})
@@ -29,7 +30,7 @@ before = set(sys.modules)
 sys.setprofile(profile)
 {step}
 sys.setprofile(None)
-print(json.dumps([ran, sorted({{"json", "csv"}} & set(sys.modules) - before)]), file=sys.stderr)
+print(json.dumps([ran, sorted({{"json", "csv", "decimal"}} & set(sys.modules) - before)]), file=sys.stderr)
 """
 
 MAIN = """
@@ -61,7 +62,7 @@ def fresh(code: str) -> str:
         ),
         (
             MAIN.format(argv=["count", "--profile", "2:2", "--set", "S"]),
-            EAGER + ["partmaps.cli", "partmaps.counting", "partmaps.enumeration"],
+            EAGER + ["partmaps.cli", "partmaps.counting"],
         ),
         (
             MAIN.format(argv=["verify", "--n-max", "1"]),
@@ -80,7 +81,14 @@ def fresh(code: str) -> str:
 def test_a_step_runs_only_the_layers_it_uses(step, runs):
     ran, formats = json.loads(fresh(STEP.format(src=SRC, step=step)))
     assert ran == runs
-    assert formats == []  # a call printing lines loads neither json nor csv
+    assert formats == []  # a call printing lines of short ints loads none of them
+
+
+def test_only_an_answer_too_long_for_str_loads_decimal():
+    step = MAIN.format(argv=["count", "--profile", "3:1000", "--set", "T"])  # 4432 digits
+    ran, loaded = json.loads(fresh(STEP.format(src=SRC, step=step)))
+    assert ran == EAGER + ["partmaps.cli", "partmaps.counting"]
+    assert loaded == ["decimal"]
 
 
 def test_every_public_name_is_its_home_modules_object():

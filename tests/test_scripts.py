@@ -49,7 +49,7 @@ class TestBenchScripts:
     def test_every_script_requires_out(self):
         # no default file name, so no run overwrites a committed result unasked
         scripts = sorted(self.BENCHMARKS.glob("bench_*.py"))
-        assert len(scripts) == 5
+        assert len(scripts) == 6
         for script in scripts:
             proc = subprocess.run(
                 [sys.executable, str(script), "--src", "tree=src"],
