@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Tabulate the member counts for every set partition of an n-point set.
 
-For each partition the four closed-form counts are printed.  With --check
-each partition also runs two laws of the cross-validation harness
-(``partmaps verify``): the closed forms against brute-force enumeration,
-and the brute-force against the constructive enumerations.  The script
-exits 1 if either law fails.
+For each partition the four closed-form counts are printed, one per row
+of ``partmaps.counting.COUNTS``.  With --check each partition also runs
+two laws of the cross-validation harness (``partmaps verify``): the
+closed forms against brute-force enumeration, and the brute-force against
+the constructive enumerations.  The script exits 1 if either law fails.
 
 Usage:
     python scripts/census.py --n 5
@@ -19,12 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from partmaps.core import DEFAULT_GUARD, format_partition, iter_partitions, profile_of
-from partmaps.counting import (
-    count_sigma_grouped,
-    count_sigma_idempotents,
-    count_t,
-    count_units,
-)
+from partmaps.counting import COUNTS
 from partmaps.verification import LAWS, _census, _Tally
 
 CHECKED = ("cardinality-formulas-vs-enumeration", "brute-vs-constructive-enumeration")
@@ -46,12 +41,7 @@ def main():
     for p in iter_partitions(args.n):
         label = format_partition(p)
         profile = profile_of(p)
-        counts = [
-            count_t(profile),
-            count_sigma_grouped(profile),
-            count_units(profile),
-            count_sigma_idempotents(profile),
-        ]
+        counts = [count(profile, DEFAULT_GUARD) for count, _ in COUNTS.values()]
         if args.check:
             data = _census(p, DEFAULT_GUARD)
             for tally, law in laws:

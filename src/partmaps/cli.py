@@ -43,6 +43,7 @@ from .core import (
     profile_of,
 )
 from .membership import (
+    SETS,
     NotPreservingError,
     _require_same_n,
     character,
@@ -69,8 +70,6 @@ PREDICATES = {
     "idempotent": lambda f, p: is_idempotent(f),
     "sigma-idempotent": lambda f, p: sigma_idempotent_via_blocks(f, p),
 }
-
-SETS = ("T", "Sigma", "S", "E-Sigma", "E-T")
 
 # ints of fewer bits than this have fewer decimal digits than the smallest
 # limit CPython accepts for str(), since 2**3 < 10, so str() writes them all
@@ -165,22 +164,6 @@ def _parse_profile(text: str) -> PartitionProfile:
         raise ParseError(str(exc)) from None
 
 
-def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
-    """Charge ``guard`` with a bound on the work of counting and writing a count.
-
-    T, S and E-Sigma are charged their answer's decimal digits, read from
-    ``log10_count`` without building it.  Sigma is charged m times the
-    digits of T's count: Sigma lies in T, so its count is no longer, and
-    the grouped count does m rounds of multiply-adds on numbers that long.
-    """
-    if set_name == "Sigma":
-        rounds, bound, what = profile.m, "T", "Sigma count digit rounds"
-    else:
-        rounds, bound, what = 1, set_name, f"{set_name} count digits"
-    digits = int(counting.log10_count(profile, bound)) + 1
-    check_guard(rounds * digits, guard, what)
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _profile_of_text(text: str) -> PartitionProfile:
     """``profile_of(parse_partition(text))``, kept by text for ``count -p``.
@@ -258,10 +241,9 @@ def cmd_count(args: argparse.Namespace) -> int:
         profile = _profile_of_text(args.partition)
     else:
         profile = _parse_profile(args.profile)
-    # E-T is rejected by the parser
-    _charge_count(profile, args.set, args.guard)
-    _, value = counting._member_count(profile, args.set, args.guard)
-    text = _decimal(value)
+    # a set without a count formula is rejected by the parser
+    counting._charge_count(profile, args.set, args.guard)
+    text = _decimal(counting.COUNTS[args.set][0](profile, args.guard))
     if args.format == "json":
         _emit_json(
             {
@@ -474,12 +456,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", parents=[common], help="exact cardinality of a member set")
     p_count.add_argument("-p", "--partition")
     p_count.add_argument("--profile", help='size:multiplicity pairs, e.g. "2:1,1:1"')
-    p_count.add_argument("--set", choices=("T", "Sigma", "S", "E-Sigma"), required=True)
+    p_count.add_argument("--set", choices=[name for name in SETS if SETS[name][2]], required=True)
     p_count.set_defaults(func=cmd_count)
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="list the members of a set")
     p_enum.add_argument("-p", "--partition", required=True)
-    p_enum.add_argument("--set", choices=SETS, required=True)
+    p_enum.add_argument("--set", choices=list(SETS), required=True)
     p_enum.add_argument("--strategy", choices=("brute", "constructive"), default="constructive")
     p_enum.add_argument("--limit", type=int, default=None, help="truncate enumerations")
     p_enum.set_defaults(func=cmd_enumerate)

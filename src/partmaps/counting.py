@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import comb, factorial, fsum, inf, lgamma, log, log10, prod
 
 from .core import CACHE_SIZE, DEFAULT_GUARD, PartitionProfile, SetPartition, check_guard
+from .membership import SETS
 
 import itertools
 
@@ -125,21 +126,6 @@ def _count_sigma_idempotents(entries: tuple[tuple[int, int], ...]) -> int:
     return prod(idempotent_count(size) ** mult for size, mult in entries)
 
 
-def _member_count(profile: PartitionProfile, set_name: str, guard: int) -> tuple[str, int]:
-    """The size of T, Sigma, S or E-Sigma at ``profile``, with what it counts.
-
-    ``count`` answers from it, and a constructive enumeration charges its
-    guard with it, under the label given here.
-    """
-    if set_name == "T":
-        return "preserving maps", count_t(profile)
-    if set_name == "Sigma":
-        return "Sigma members", count_sigma_grouped(profile, guard)
-    if set_name == "S":
-        return "units", count_units(profile)
-    return "Sigma idempotents", count_sigma_idempotents(profile)
-
-
 def _log10_sum(logs: Iterable[float]) -> float:
     """log10 of a sum of positive terms, given the terms' log10s, in one pass."""
     top, scaled = -inf, 0.0  # the sum is scaled * 10**top
@@ -162,26 +148,82 @@ def log10_count(profile: PartitionProfile, set_name: str) -> float | None:
     The relative error is rounding only, far below 1e-9, so the value tells
     how many decimal digits the count has except within a hair of a power of
     ten.  It costs a few float operations per pair of size classes (for
-    E(Sigma), one per size class once each block size's term is kept),
-    however large the count.
+    E(Sigma), a few thousand per block size at most, once each size's term
+    is kept), however large the count.
     """
-    entries = profile.entries
-    if set_name == "T":
-        return fsum(
-            mult_i * _log10_sum(log10(mult_j) + size_i * log10(size_j) for size_j, mult_j in entries)
-            for size_i, mult_i in entries
-        )
-    if set_name == "S":
-        return fsum(_log10_factorial(mult) + mult * _log10_factorial(size) for size, mult in entries)
-    if set_name == "E-Sigma":
-        return fsum(mult * _log10_idempotent_count(size) for size, mult in entries)
-    return None
+    log10 = COUNTS.get(set_name, (None, None))[1]
+    return None if log10 is None else log10(profile.entries)
+
+
+def _log10_t(entries: tuple[tuple[int, int], ...]) -> float:
+    return fsum(
+        mult_i * _log10_sum(log10(mult_j) + size_i * log10(size_j) for size_j, mult_j in entries)
+        for size_i, mult_i in entries
+    )
+
+
+def _log10_units(entries: tuple[tuple[int, int], ...]) -> float:
+    return fsum(_log10_factorial(mult) + mult * _log10_factorial(size) for size, mult in entries)
+
+
+def _log10_sigma_idempotents(entries: tuple[tuple[int, int], ...]) -> float:
+    return fsum(mult * _log10_idempotent_count(size) for size, mult in entries)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _log10_idempotent_count(n: int) -> float:
-    """log10 of :func:`idempotent_count`, one term per image size."""
-    return _log10_sum(
-        _log10_factorial(n) - _log10_factorial(j) - _log10_factorial(n - j) + (n - j) * log10(j)
-        for j in range(1, n + 1)
-    )
+    """log10 of :func:`idempotent_count`, from the terms a float can hold.
+
+    The term of image size j is C(n, j) * j**(n - j).  Its log is concave
+    in j, so the largest term is found by ternary search.  The sum runs
+    over the terms within 20 decades of it, from the smallest j up, as
+    ``_log10_sum`` would run over all n: every term further out lies
+    below the rounding of the sum.  That is a few thousand terms, not n.
+    """
+    top_n = _log10_factorial(n)
+
+    def term(j: int) -> float:
+        return top_n - _log10_factorial(j) - _log10_factorial(n - j) + (n - j) * log10(j)
+
+    lo, hi = 1, n
+    while hi - lo > 2:
+        third = (hi - lo) // 3
+        if term(lo + third) < term(hi - third):
+            lo += third + 1
+        else:
+            hi -= third
+    peak = max(range(lo, hi + 1), key=term)
+    floor = term(peak) - 20
+    first = last = peak
+    while first > 1 and term(first - 1) >= floor:
+        first -= 1
+    while last < n and term(last + 1) >= floor:
+        last += 1
+    return _log10_sum(map(term, range(first, last + 1)))
+
+
+def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
+    """Charge ``guard`` with a bound on the work of counting and writing a count.
+
+    A set is charged its answer's decimal digits, read from ``log10_count``.
+    Sigma, with no float size, is charged m times the digits of its base T's
+    count, which bounds its own: the grouped count does m rounds of
+    multiply-adds on numbers that long.
+    """
+    log10 = log10_count(profile, set_name)
+    if log10 is not None:
+        check_guard(int(log10) + 1, guard, f"{set_name} count digits")
+    else:
+        digits = int(log10_count(profile, SETS[set_name][0])) + 1
+        check_guard(profile.m * digits, guard, f"{set_name} count digit rounds")
+
+
+# name -> (count(profile, guard), log10(entries) or None) for each set of
+# membership.SETS with a label.  Each count looks its function up when
+# called, so a wrapper put on the module name (a tracer's, say) sees the call
+COUNTS = {
+    "T": (lambda profile, guard: count_t(profile), _log10_t),
+    "Sigma": (lambda profile, guard: count_sigma_grouped(profile, guard), None),
+    "S": (lambda profile, guard: count_units(profile), _log10_units),
+    "E-Sigma": (lambda profile, guard: count_sigma_idempotents(profile), _log10_sigma_idempotents),
+}

@@ -2,7 +2,8 @@
 
 Every generator yields transformations in lexicographic order of their
 image tables, whatever the strategy, so different strategies can be
-compared element by element.  Two strategies exist throughout:
+compared element by element.  The sets are the rows of
+``membership.SETS``, each a filter of its base.  Two strategies exist:
 
 * ``brute``: run through all n**n image tables and keep the members.
 * ``constructive``: assemble members point by point (each preserving map
@@ -11,7 +12,8 @@ compared element by element.  Two strategies exist throughout:
   with one ``for`` loop per point is generated as Python source and
   compiled; T, Sigma, S and the idempotents of Sigma differ only in which
   images a loop skips given the images before it.  It streams, so the
-  first k members cost O(k * n) steps.
+  first k members cost O(k * n) steps.  E-T, with no count formula,
+  filters the stream of its base instead.
 
 A partition's loop nests are compiled on first use, never at import:
 about 0.3-0.6 ms per set for n <= 8, growing with n.  They are cached per
@@ -27,8 +29,8 @@ A work guard protects against accidentally enormous enumerations; it
 bounds the number of candidate maps a call may visit, and it is checked
 when the call is made.  It counts all n**n tables for ``brute``, the exact
 member count for ``constructive``, and ``min(count, limit + 1)`` for a
-constructive ``enumerate_*`` call with a ``limit``.  The idempotents of T
-are a filter of T and keep T's full bound, as does ``brute``.
+constructive ``enumerate_*`` call with a ``limit``.  A filter keeps its
+base's full bound.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from .core import (
     check_guard,
     profile_of,
 )
-from .counting import _member_count
-from .membership import in_sigma, in_units, is_idempotent
+from .counting import COUNTS
+from .membership import SETS
 
 STRATEGIES = ("brute", "constructive")
 
@@ -251,27 +253,22 @@ def _kernel(p: SetPartition, set_name: str):
 def _members(
     p: SetPartition, set_name: str, strategy: str, guard: int, limit: int | None = None
 ) -> Iterator[Transformation]:
-    """The members of T, Sigma, S, E-Sigma or E-T, checked against the guard.
+    """The members of one set of ``membership.SETS``, checked against the guard.
 
-    The guard is checked before the first member is produced.  A
-    constructive call with a ``limit`` builds at most ``limit + 1`` members,
-    so only ``min(count, limit + 1)`` of them count against the guard.
+    Brute T scans all n**n tables; any other brute set, and any set without
+    a count formula, filters its base's stream with its test.  Every other
+    set runs its kernel, charged its count (at most ``limit + 1``) first.
     """
     _check_strategy(strategy)
-    if set_name == "E-T" or (set_name == "E-Sigma" and strategy == "brute"):
-        # filters of another set, under that set's full bound
-        base = iter_t if set_name == "E-T" else iter_sigma
-        return (f for f in base(p, strategy, guard) if is_idempotent(f))
-    if strategy == "brute":
+    base, test, label = SETS[set_name]
+    if strategy == "brute" and base is None:
         check_guard(p.n**p.n, guard, "brute-force candidate maps")
-        if set_name == "Sigma":
-            return (f for f in _brute_preserving(p) if in_sigma(f, p))
-        if set_name == "S":
-            return (f for f in _brute_preserving(p) if in_units(f, p))
         return _brute_preserving(p)
+    if strategy == "brute" or label is None:
+        return (f for f in _members(p, base, strategy, guard) if test(f, p))
     if limit is None or limit >= guard:  # otherwise min(count, limit + 1) <= guard
-        what, required = _member_count(profile_of(p), set_name, guard)
-        check_guard(required if limit is None else min(required, limit + 1), guard, what)
+        required = COUNTS[set_name][0](profile_of(p), guard)
+        check_guard(required if limit is None else min(required, limit + 1), guard, label)
     return _kernel(p, set_name)(_store_images)
 
 

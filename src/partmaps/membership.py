@@ -192,3 +192,17 @@ def sigma_idempotent_via_blocks(f: Transformation, p: SetPartition) -> bool:
             if idx[y] != i or img[y] != y:
                 return False
     return True
+
+
+# every set the package counts or enumerates, in CLI order: name -> (base,
+# test, label).  A set is the members of ``base`` (every map when None) that
+# pass ``test(f, p)``; ``label`` names what its count formula counts in guard
+# texts, None without one.  Each test looks its predicate up when called, so
+# a wrapper put on the module name (a tracer's, say) sees the call
+SETS = {
+    "T": (None, lambda f, p: preserves(f, p), "preserving maps"),
+    "Sigma": ("T", lambda f, p: in_sigma(f, p), "Sigma members"),
+    "S": ("T", lambda f, p: in_units(f, p), "units"),
+    "E-Sigma": ("Sigma", lambda f, p: is_idempotent(f), "Sigma idempotents"),
+    "E-T": ("T", lambda f, p: is_idempotent(f), None),
+}

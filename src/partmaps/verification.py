@@ -48,8 +48,9 @@ from .cycles import (
     preserved_m_partition_exists,
     search_unit_m_partition,
 )
-from .enumeration import chi_classes, iter_idempotents, iter_sigma, iter_t, iter_units
+from .enumeration import _members, chi_classes
 from .membership import (
+    SETS,
     character,
     in_sigma,
     in_units,
@@ -131,22 +132,14 @@ class _Tally:
 
 
 def _census(p: SetPartition, guard: int) -> dict[str, list]:
-    """The brute-force members of each set at p, with ``in_sigma`` on each of T.
-
-    ``"in_sigma"`` holds the answer for every member of ``"t"``, in order;
-    the four-way law reads it as its first route.
-    """
-    t_maps = list(iter_t(p, strategy="brute", guard=guard))
-    in_sigma_flags = list(map(in_sigma, t_maps, repeat(p)))
-    sigma = list(compress(t_maps, in_sigma_flags))
-    return {
-        "t": t_maps,
-        "in_sigma": in_sigma_flags,
-        "sigma": sigma,
-        "units": [f for f in t_maps if in_units(f, p)],
-        "e_t": [f for f in t_maps if is_idempotent(f)],
-        "e_sigma": [f for f in sigma if is_idempotent(f)],
-    }
+    """The brute-force members of each set of ``membership.SETS`` at p, by set name."""
+    data: dict[str, list] = {}
+    for name, (base, test, _) in SETS.items():
+        if base is None:
+            data[name] = list(_members(p, name, "brute", guard))
+        else:
+            data[name] = list(compress(data[base], map(test, data[base], repeat(p))))
+    return data
 
 
 def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
@@ -171,57 +164,48 @@ def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
 
 def _check_cardinalities(tally, p, data, guard):
     profile = profile_of(p)
-    tally.check(len(data["t"]) == count_t(profile), lambda: f"|T| at {p}")
-    sigma_n = len(data["sigma"])
+    tally.check(len(data["T"]) == count_t(profile), lambda: f"|T| at {p}")
+    sigma_n = len(data["Sigma"])
     tally.check(sigma_n == count_sigma_direct(p, guard), lambda: f"|Sigma| direct at {p}")
     tally.check(sigma_n == count_sigma_grouped(profile, guard), lambda: f"|Sigma| grouped at {p}")
-    tally.check(len(data["units"]) == count_units(profile), lambda: f"|S| at {p}")
+    tally.check(len(data["S"]) == count_units(profile), lambda: f"|S| at {p}")
     tally.check(
-        len(data["e_sigma"]) == count_sigma_idempotents(profile),
+        len(data["E-Sigma"]) == count_sigma_idempotents(profile),
         lambda: f"|E(Sigma)| at {p}",
     )
 
 
 def _check_strategies(tally, p, data, guard):
-    tally.check(
-        data["t"] == list(iter_t(p, strategy="constructive", guard=guard)),
-        lambda: f"T sequences at {p}",
-    )
-    tally.check(
-        data["sigma"] == list(iter_sigma(p, strategy="constructive", guard=guard)),
-        lambda: f"Sigma sequences at {p}",
-    )
-    tally.check(
-        data["units"] == list(iter_units(p, strategy="constructive", guard=guard)),
-        lambda: f"unit sequences at {p}",
-    )
-    tally.check(
-        data["e_sigma"]
-        == list(iter_idempotents(p, ambient="sigma", strategy="constructive", guard=guard)),
-        lambda: f"E(Sigma) sequences at {p}",
-    )
+    for name, (_, _, label) in SETS.items():
+        if label is not None:  # a set with a count formula has a compiled kernel
+            tally.check(
+                data[name] == list(_members(p, name, "constructive", guard)),
+                lambda: f"{name} sequences at {p}",
+            )
 
 
 def _check_containments(tally, p, data, guard):
-    t_set = set(data["t"])
-    sigma_set = set(data["sigma"])
+    t_set = set(data["T"])
+    sigma_set = set(data["Sigma"])
     tally.check(sigma_set <= t_set, lambda: f"Sigma inside T at {p}")
-    tally.check(set(data["units"]) <= sigma_set, lambda: f"units inside Sigma at {p}")
+    tally.check(set(data["S"]) <= sigma_set, lambda: f"units inside Sigma at {p}")
     tally.check(
-        set(data["e_sigma"]) == sigma_set & set(data["e_t"]),
+        set(data["E-Sigma"]) == sigma_set & set(data["E-T"]),
         lambda: f"E(Sigma) = Sigma intersect E(T) at {p}",
     )
 
 
 def _check_four_way(tally, p, data, guard):
-    t_maps = data["t"]
-    # every route runs on every member of T; in_sigma's answers are the census's
+    t_maps = data["T"]
+    # every route runs on every member of T; in_sigma's are the census's Sigma
+    tables = attrgetter("images")
+    a = map(set(map(tables, data["Sigma"])).__contains__, map(tables, t_maps))
     b, c, d = (
         list(map(route, t_maps, repeat(p)))
         for route in (sigma_via_character, is_e_star_preserving, sigma_via_topology)
     )
     tally.check_all(
-        [w == x == y == z for w, x, y, z in zip(data["in_sigma"], b, c, d)],
+        [w == x == y == z for w, x, y, z in zip(a, b, c, d)],
         lambda i: f"{t_maps[i]} at {p}",
     )
 
@@ -240,7 +224,7 @@ def _check_homomorphism(tally, p, data, guard):
     # chi(fg) = chi(f)chi(g) on image tables: T is closed under composition,
     # so chi(fg) is looked up instead of recomputed once per pair, and a
     # composite outside T finds no entry and fails its case
-    t_maps = data["t"]
+    t_maps = data["T"]
     tables = [f.images for f in t_maps]
     chars = [chi.images for chi in map(character, t_maps, repeat(p))]
     lookup = dict(zip(tables, chars)).get
@@ -253,7 +237,7 @@ def _check_homomorphism(tally, p, data, guard):
 
 
 def _check_units(tally, p, data, guard):
-    t_maps, units = data["t"], data["units"]
+    t_maps, units = data["T"], data["S"]
     unit_set = set(units)
     tally.check_all(
         [
@@ -275,7 +259,7 @@ def _check_units(tally, p, data, guard):
 
 
 def _check_sigma_idempotents(tally, p, data, guard):
-    sigma, e_sigma = data["sigma"], data["e_sigma"]
+    sigma, e_sigma = data["Sigma"], data["E-Sigma"]
     tally.check_all(
         map(eq, map(is_idempotent, sigma), map(sigma_idempotent_via_blocks, sigma, repeat(p))),
         lambda i: f"blockwise idempotence of {sigma[i]} at {p}",
@@ -295,7 +279,7 @@ def _check_t_idempotents(tally, p, data, guard):
     blocks = p.blocks
     cases: list[tuple[Transformation, int | None]] = []
     flags: list[bool] = []
-    for f in data["e_t"]:
+    for f in data["E-T"]:
         chi = character(f, p)
         cases.append((f, None))
         flags.append(chi.is_idempotent())
@@ -316,7 +300,7 @@ def _check_t_idempotents(tally, p, data, guard):
 def _check_quotient(tally, p, data, guard):
     classes = chi_classes(p, guard=guard)
     tally.check(len(classes) == factorial(p.m), lambda: f"class count at {p}")
-    grouped = Counter(map(attrgetter("images"), map(character, data["sigma"], repeat(p))))
+    grouped = Counter(map(attrgetter("images"), map(character, data["Sigma"], repeat(p))))
     # two cases per class: its size, then its representative
     flags: list[bool] = []
     for cls in classes:
@@ -332,7 +316,7 @@ def _check_quotient(tally, p, data, guard):
 
     tally.check_all(flags, describe)
     tally.check(
-        sum(cls.size for cls in classes) == len(data["sigma"]),
+        sum(cls.size for cls in classes) == len(data["Sigma"]),
         lambda: f"class sizes sum at {p}",
     )
 
@@ -365,7 +349,7 @@ def _check_divisibility(tally, p, data, guard):
 
 
 def _check_full_cycle_units(tally, p, data, guard):
-    for f in data["units"]:
+    for f in data["S"]:
         dec = decompose(f)
         if not dec.is_full_cycle():
             continue

@@ -9,28 +9,23 @@ takes about 180 MB.
 
 from functools import cache
 
-from partmaps.core import iter_partitions
-from partmaps.enumeration import iter_t
-from partmaps.membership import in_sigma, in_units, is_idempotent
+from partmaps.core import DEFAULT_GUARD, iter_partitions
+from partmaps.membership import SETS
+from partmaps.verification import _census
 
 
 @cache
 def brute_census(n):
     """``(p, members)`` for every partition p of n points, in canonical order.
 
-    ``members`` maps the set names "T", "Sigma", "S" and "E-Sigma" to their
-    members, found by filtering the brute-force scan of T with the
-    membership predicates, in lexicographic order.
+    ``members`` maps the name of each set with a compiled kernel (each row
+    of ``membership.SETS`` with a count formula: "T", "Sigma", "S" and
+    "E-Sigma") to its members, in lexicographic order, as the harness's
+    brute-force census finds them: the scan of T, filtered by each row's
+    test.
     """
     out = []
     for p in iter_partitions(n):
-        t = list(iter_t(p, strategy="brute"))
-        sigma = [f for f in t if in_sigma(f, p)]
-        members = {
-            "T": t,
-            "Sigma": sigma,
-            "S": [f for f in t if in_units(f, p)],
-            "E-Sigma": [f for f in sigma if is_idempotent(f)],
-        }
-        out.append((p, members))
+        census = _census(p, DEFAULT_GUARD)
+        out.append((p, {name: census[name] for name, (_, _, label) in SETS.items() if label}))
     return tuple(out)

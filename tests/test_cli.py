@@ -779,6 +779,35 @@ class TestUsageErrors:
         assert "unrecognized arguments: --limit 3" in capsys.readouterr().err
 
 
+def _choices(command):
+    """The choices of one subcommand's --set option, as the parser holds them."""
+    (action,) = [a for a in cli._build_parser().plain[command][0].values() if a.dest == "set"]
+    return list(action.choices)
+
+
+class TestSetTable:
+    def test_count_offers_the_sets_with_a_count_formula(self):
+        labelled = [name for name, (_, _, label) in cli.SETS.items() if label]
+        assert _choices("count") == labelled == list(counting.COUNTS)
+
+    def test_enumerate_offers_every_set_in_table_order(self):
+        assert _choices("enumerate") == list(cli.SETS) == ["T", "Sigma", "S", "E-Sigma", "E-T"]
+
+    def test_count_rejects_a_set_without_a_formula(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["count", "-p", "0|1", "--set", "E-T"])
+        assert err.value.code == 2
+        assert (
+            "argument --set: invalid choice: 'E-T' (choose from 'T', 'Sigma', 'S', 'E-Sigma')"
+            in capsys.readouterr().err
+        )
+
+    def test_every_base_precedes_its_set(self):
+        names = list(cli.SETS)
+        for i, (base, _, _) in enumerate(cli.SETS.values()):
+            assert base is None or names.index(base) < i
+
+
 class TestClosedStdout:
     SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -919,7 +948,7 @@ def _plain_argvs():
     # every choice of every option that has choices, and ints where type=int
     options = {
         "check": [["--predicate", name] for name in PREDICATES],
-        "count": [["--set", name] for name in ("T", "Sigma", "S", "E-Sigma")],
+        "count": [["--set", name] for name, (_, _, label) in cli.SETS.items() if label],
         "enumerate": [
             ["--set", name, *more]
             for name in cli.SETS
@@ -1261,6 +1290,19 @@ class TestCountDigitLimit:
         code, out, err = run(capsys, "count", "--profile", "1:100000", "--set", "Sigma", *guard)
         assert (code, out) == (3, "")
         assert "Sigma count digit rounds needs 50000100000 items" in err
+
+    def test_e_sigma_fails_before_its_count(self, capsys, monkeypatch):
+        # |E(Sigma)| on one block of 3 million points has 15221823 digits;
+        # its size is read from the largest terms of the sum, not all of them
+        monkeypatch.setattr(counting, "_count_sigma_idempotents", self.refuse)
+        counting._log10_idempotent_count.cache_clear()
+        argv = ("count", "--profile", "3000000:1", "--set", "E-Sigma", "--guard", "1")
+        assert run(capsys, *argv) == (
+            3,
+            "",
+            "error: E-Sigma count digits needs 15221824 items, exceeds guard 1; "
+            "raise the guard or use a counting formula instead\n",
+        )
 
     def test_sigma_on_singletons_on_both_sides_of_the_limit(self, capsys):
         # |Sigma| on m singletons is m!: 1558! has 4300 digits, 1559! has 4303

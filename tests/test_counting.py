@@ -207,6 +207,40 @@ class TestLog10Count:
         assert log10_count(profile((2, 2)), "E-T") is None
 
 
+def full_log10_idempotent_count(n):
+    """log10 of the idempotent count from all n of its terms."""
+    return counting._log10_sum(
+        counting._log10_factorial(n)
+        - counting._log10_factorial(j)
+        - counting._log10_factorial(n - j)
+        + (n - j) * log10(j)
+        for j in range(1, n + 1)
+    )
+
+
+class TestLog10IdempotentCount:
+    # equal as floats: the terms left out lie below the rounding of the sum
+    def test_equals_the_full_sum_below_400(self):
+        for n in range(1, 400):
+            assert counting._log10_idempotent_count.__wrapped__(n) == full_log10_idempotent_count(n)
+
+    @pytest.mark.parametrize("n", [1000, 4000, 20_000, 100_000])
+    def test_equals_the_full_sum(self, n):
+        assert counting._log10_idempotent_count.__wrapped__(n) == full_log10_idempotent_count(n)
+
+    def test_reads_a_few_thousand_terms_of_millions(self, monkeypatch):
+        calls = [0]
+        factorial_log = counting._log10_factorial
+
+        def counted(k):
+            calls[0] += 1
+            return factorial_log(k)
+
+        monkeypatch.setattr(counting, "_log10_factorial", counted)
+        counting._log10_idempotent_count.__wrapped__(3_000_000)
+        assert calls[0] < 20_000
+
+
 class TestStructuralProperties:
     @given(partitions())
     def test_monotone_containment(self, p):

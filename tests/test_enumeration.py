@@ -217,6 +217,25 @@ class TestGuards:
             enumerate_idempotents(NINE_SINGLETONS, ambient="t", limit=3, guard=1000)
         assert err.value.required == 9**9
 
+    @pytest.mark.parametrize(
+        "set_name, strategy, text, required",
+        [
+            ("T", "constructive", "preserving maps", 15),
+            ("Sigma", "constructive", "Sigma members", 6),
+            ("S", "constructive", "units", 2),
+            ("E-Sigma", "constructive", "Sigma idempotents", 3),
+            ("E-T", "constructive", "preserving maps", 15),  # its base's bound
+            *[
+                (name, "brute", "brute-force candidate maps", 27)
+                for name in ("T", "Sigma", "S", "E-Sigma", "E-T")
+            ],
+        ],
+    )
+    def test_each_set_is_charged_in_its_own_words(self, set_name, strategy, text, required):
+        # one item short of the charge, which for Sigma clears its 3 count states
+        with pytest.raises(GuardExceededError, match=f"^{text} needs {required} items"):
+            enumeration._members(P3, set_name, strategy, guard=required - 1)
+
     def test_sigma_idempotent_guard_counts_members(self):
         p = SetPartition((tuple(range(5)), tuple(range(5, 10))))
         with pytest.raises(GuardExceededError) as err:
@@ -276,16 +295,20 @@ def built(monkeypatch):
 
 @pytest.fixture
 def pulled(monkeypatch):
-    """Counts the T members drawn from ``iter_t``, as the filter behind E-T draws them."""
+    """Counts the T members drawn from ``_members``, as the filter behind E-T draws them."""
     count = [0]
-    iter_t = enumeration.iter_t
+    members = enumeration._members
 
-    def counting_iter_t(*args, **kwargs):
-        for f in iter_t(*args, **kwargs):
+    def counted(stream):
+        for f in stream:
             count[0] += 1
             yield f
 
-    monkeypatch.setattr(enumeration, "iter_t", counting_iter_t)
+    def counting_members(p, set_name, *args, **kwargs):
+        stream = members(p, set_name, *args, **kwargs)
+        return counted(stream) if set_name == "T" else stream
+
+    monkeypatch.setattr(enumeration, "_members", counting_members)
     return count
 
 
