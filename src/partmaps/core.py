@@ -40,9 +40,9 @@ from typing import Iterator
 
 DEFAULT_GUARD = 10**7
 
-# answers kept by each per-profile cache (``profile_of`` and the counting
-# formulas, and the decimal counts of ``count``); one entry per profile, and
-# n <= 14 has only 135 profiles
+# answers kept by each per-profile cache (``profile_of``, the profiles'
+# memos of their counts, and the decimal counts of ``count``); one entry per
+# profile, and n <= 14 has only 135 profiles
 CACHE_SIZE = 1024
 
 
@@ -118,7 +118,7 @@ class Transformation:
         return frozenset(self.images)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetPartition:
     """An ordered set partition of {0, ..., n-1} in canonical form.
 
@@ -126,7 +126,9 @@ class SetPartition:
     constructor accepts blocks in any order and canonicalizes: blocks sorted
     ascending by minimum element, points inside each block ascending.
     ``block_index`` maps each point to the index of its block; it is set
-    on construction and takes no part in equality, hashing or repr.
+    on construction and takes no part in equality, hashing or repr.  The
+    two tables are the only slots: instances have no ``__dict__`` and
+    cannot be weakly referenced.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -169,12 +171,28 @@ class PartitionProfile:
 
     ``entries`` is a tuple of (size, multiplicity) pairs of ``int``; the
     constructor sorts by size and rejects repeated sizes.
+
+    Each profile also holds a memo, a dict in which ``counting`` keeps the
+    profile's counts and guard charges.  Equal profiles share one memo,
+    handed out by ``_profile_memo`` for the last ``CACHE_SIZE`` distinct
+    entries, so a count is computed once however many partitions or texts
+    the profile is built from.  The memo is not a field: it takes no part
+    in equality, hashing or repr, and a pickled or copied profile
+    is rebuilt from its entries and shares the memo of its equals.
     """
 
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        entries = [(s, c) for s, c in self.entries]
+        entries = []
+        for entry in self.entries:
+            try:
+                s, c = entry
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"profile entry {entry!r} is not a (size, multiplicity) pair"
+                ) from None
+            entries.append((s, c))
         for s, c in entries:
             if type(s) is not int:
                 raise ValueError(f"block size {s!r} is not an int")
@@ -193,6 +211,10 @@ class PartitionProfile:
                 raise ValueError(f"block size {s} must be positive")
             if c < 1:
                 raise ValueError(f"multiplicity {c} of size {s} must be positive")
+        object.__setattr__(self, "_memo", _profile_memo(entries))
+
+    def __reduce__(self):
+        return PartitionProfile, (self.entries,)
 
     @property
     def n(self) -> int:
@@ -331,9 +353,11 @@ def _canonical_blocks(
 
 _new = object.__new__
 _set = object.__setattr__
-# stores a table into a bare ``Transformation``, past the frozen ``__setattr__``;
-# the generators build their maps with it too
+# store tables into a bare ``Transformation`` or ``SetPartition``, past the
+# frozen ``__setattr__``; the generators build their maps with the first too
 _store_images = Transformation.images.__set__
+_store_blocks = SetPartition.blocks.__set__
+_store_block_index = SetPartition.block_index.__set__
 
 
 def _trusted_transformation(images: tuple[int, ...]) -> Transformation:
@@ -354,8 +378,8 @@ def _trusted_partition(
     Skips validation and canonicalization; callers vouch for both.
     """
     p = _new(SetPartition)
-    _set(p, "blocks", blocks)
-    _set(p, "block_index", block_index)
+    _store_blocks(p, blocks)
+    _store_block_index(p, block_index)
     return p
 
 
@@ -383,6 +407,12 @@ def profile_of(p: SetPartition) -> PartitionProfile:
     profile object.
     """
     return _profile_of_sizes(tuple(sorted(map(len, p.blocks))))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _profile_memo(entries: tuple[tuple[int, int], ...]) -> dict:
+    """The memo shared by every profile with these (valid, sorted) entries."""
+    return {}
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -9,11 +9,14 @@ other.  :func:`log10_count` gives the size of a count in floating point
 without building it, so a caller can tell in advance how long it is.
 
 Every count except the direct Sigma form depends only on the profile, so
-each is computed by a private kernel on ``profile.entries`` that keeps up
-to ``CACHE_SIZE`` answers, the least recently used dropped first: a sweep
-over all partitions of n evaluates each formula once per profile, not once
-per partition.  The grouped Sigma count checks its guard on every call,
-before the lookup, so a cached answer never skips the guard.
+each is computed by a private kernel on ``profile.entries`` and kept in the
+profile's memo, one dict shared by all equal profiles (see
+``PartitionProfile``; the last ``CACHE_SIZE`` distinct profiles keep
+theirs): a sweep over all partitions of n evaluates each formula once per
+profile, not once per partition, and a repeated count costs one dict read.
+The grouped Sigma count keeps its guard's state count there too, and
+checks the guard on every call, before the count is read or computed, so
+a kept answer never skips the guard.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ import itertools
 
 
 def idempotent_count(n: int) -> int:
-    """Number of idempotent selfmaps on an n-point set."""
+    """Number of idempotent selfmaps on an n-point set; ``n`` must be an
+    ``int`` (``bool`` is rejected)."""
+    if type(n) is not int:
+        raise ValueError(f"ground-set size {n!r} is not an int")
     if n < 1:
         raise ValueError("ground-set size must be positive")
     return sum(comb(n, j) * j ** (n - j) for j in range(1, n + 1))
@@ -41,10 +47,14 @@ def count_t(profile: PartitionProfile) -> int:
     A map is assembled blockwise; a block of size s has ``sum(m_j * s_j**s)``
     possible restrictions, one term per choice of codomain block.
     """
-    return _count_t(profile.entries)
+    memo = profile._memo
+    try:
+        return memo["T"]
+    except KeyError:
+        count = memo["T"] = _count_t(profile.entries)
+        return count
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _count_t(entries: tuple[tuple[int, int], ...]) -> int:
     return prod(
         sum(mult_j * size_j**size_i for size_j, mult_j in entries) ** mult_i
@@ -55,10 +65,14 @@ def _count_t(entries: tuple[tuple[int, int], ...]) -> int:
 def count_units(profile: PartitionProfile) -> int:
     """Size of the group of units: m_i! block arrangements per size class,
     times n_i! bijections per block."""
-    return _count_units(profile.entries)
+    memo = profile._memo
+    try:
+        return memo["S"]
+    except KeyError:
+        count = memo["S"] = _count_units(profile.entries)
+        return count
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _count_units(entries: tuple[tuple[int, int], ...]) -> int:
     return prod(factorial(mult) * factorial(size) ** mult for size, mult in entries)
 
@@ -92,12 +106,19 @@ def count_sigma_grouped(profile: PartitionProfile, guard: int = DEFAULT_GUARD) -
     Each of the ``prod(m_b + 1)`` states is visited once, and the guard
     counts them (less the start state).
     """
-    entries = profile.entries
-    check_guard(prod(mult + 1 for _, mult in entries) - 1, guard, "Sigma count states")
-    return _count_sigma_grouped(entries)
+    memo = profile._memo
+    try:
+        states = memo["Sigma count states"]
+    except KeyError:
+        states = memo["Sigma count states"] = prod(mult + 1 for _, mult in profile.entries) - 1
+    check_guard(states, guard, "Sigma count states")
+    try:
+        return memo["Sigma"]
+    except KeyError:
+        count = memo["Sigma"] = _count_sigma_grouped(profile.entries)
+        return count
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _count_sigma_grouped(entries: tuple[tuple[int, int], ...]) -> int:
     ways = {tuple(mult for _, mult in entries): 1}
     for size_a in (size for size, mult in entries for _ in range(mult)):
@@ -118,10 +139,14 @@ def count_sigma_idempotents(profile: PartitionProfile) -> int:
     Such idempotents restrict to an independent idempotent selfmap on each
     block, so the count is a product of per-block idempotent counts.
     """
-    return _count_sigma_idempotents(profile.entries)
+    memo = profile._memo
+    try:
+        return memo["E-Sigma"]
+    except KeyError:
+        count = memo["E-Sigma"] = _count_sigma_idempotents(profile.entries)
+        return count
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _count_sigma_idempotents(entries: tuple[tuple[int, int], ...]) -> int:
     return prod(idempotent_count(size) ** mult for size, mult in entries)
 
@@ -208,14 +233,21 @@ def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
     A set is charged its answer's decimal digits, read from ``log10_count``.
     Sigma, with no float size, is charged m times the digits of its base T's
     count, which bounds its own: the grouped count does m rounds of
-    multiply-adds on numbers that long.
+    multiply-adds on numbers that long.  The charge is kept in the
+    profile's memo under its guard text, and checked on every call.
     """
-    log10 = log10_count(profile, set_name)
-    if log10 is not None:
-        check_guard(int(log10) + 1, guard, f"{set_name} count digits")
-    else:
-        digits = int(log10_count(profile, SETS[set_name][0])) + 1
-        check_guard(profile.m * digits, guard, f"{set_name} count digit rounds")
+    log10 = COUNTS[set_name][1]
+    what = f"{set_name} count digits" if log10 is not None else f"{set_name} count digit rounds"
+    memo = profile._memo
+    try:
+        required = memo[what]
+    except KeyError:
+        if log10 is not None:
+            required = int(log10(profile.entries)) + 1
+        else:
+            required = profile.m * (int(log10_count(profile, SETS[set_name][0])) + 1)
+        memo[what] = required
+    check_guard(required, guard, what)
 
 
 # name -> (count(profile, guard), log10(entries) or None) for each set of

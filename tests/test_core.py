@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -25,6 +26,7 @@ from partmaps.core import (
     iter_partitions,
     parse_partition,
     parse_transformation,
+    _profile_memo,
     _profile_of_sizes,
     profile_of,
 )
@@ -272,6 +274,33 @@ class TestProfile:
         with pytest.raises(ValueError, match=re.escape(bad) + " is not an int"):
             PartitionProfile(entries)
 
+    @pytest.mark.parametrize("entries, bad", [(((2, 1, 3),), "(2, 1, 3)"), ((2,), "2")])
+    def test_rejects_entries_that_are_not_pairs(self, entries, bad):
+        want = f"profile entry {bad} is not a (size, multiplicity) pair"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            PartitionProfile(entries)
+
+    def test_equal_profiles_share_one_memo_outside_the_fields(self):
+        # from a cold start: a profile kept by profile_of outlives its entries'
+        # turn in the memo cache when more than CACHE_SIZE others are built
+        _profile_memo.cache_clear()
+        _profile_of_sizes.cache_clear()
+        prof = profile_of(SetPartition(((0, 1), (2,), (3, 4))))
+        twins = [
+            PartitionProfile(((2, 2), (1, 1))),
+            pickle.loads(pickle.dumps(prof)),
+            copy.copy(prof),
+            copy.deepcopy(prof),
+        ]
+        for twin in twins:
+            assert type(twin) is PartitionProfile
+            assert twin == prof and hash(twin) == hash(prof)
+            assert twin._memo is prof._memo
+        assert [f.name for f in dataclasses.fields(prof)] == ["entries"]
+        assert repr(prof) == "PartitionProfile(entries=((1, 1), (2, 2)))"
+        assert PartitionProfile(((1, 2),))._memo is not prof._memo
+        assert _profile_memo.cache_info().maxsize == CACHE_SIZE
+
     @given(partitions())
     def test_invariant_under_block_reordering(self, p):
         reordered = SetPartition(tuple(reversed(p.blocks)))
@@ -376,6 +405,25 @@ class TestSetPartitionType:
     def test_block_index(self):
         p = SetPartition(((0, 2), (1,)))
         assert p.block_index == (0, 1, 0)
+
+    def test_pickle_and_copy_round_trips(self):
+        validated = SetPartition(((0, 3), (1,), (2, 4)))
+        trusted = (parse_partition("3,0|4,2|1"), next(q for q in iter_partitions(5) if q == validated))
+        for p in (validated, *trusted):
+            for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+                assert type(twin) is SetPartition
+                assert twin == validated and hash(twin) == hash(validated)
+                assert twin.block_index == validated.block_index == (0, 1, 2, 0, 2)
+
+    def test_slotted_instances(self):
+        p = SetPartition(((0,), (1,)))
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(p)
+        with pytest.raises(AttributeError):
+            p.blocks = ((0, 1),)
+        with pytest.raises(AttributeError):
+            p.block_index = (0, 0)
 
     def test_trivial_and_uniform_flags(self):
         assert SetPartition(((0, 1, 2),)).is_trivial

@@ -1,3 +1,5 @@
+import re
+from collections import Counter
 from math import factorial, log10, prod
 
 import pytest
@@ -5,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from partmaps import counting
+from partmaps import cli, core, counting
 from partmaps.core import (
     CACHE_SIZE,
+    DEFAULT_GUARD,
     GuardExceededError,
     PartitionProfile,
     SetPartition,
@@ -38,6 +41,11 @@ class TestIdempotentCount:
 
     def test_first_values(self):
         assert [idempotent_count(n) for n in range(1, 6)] == [1, 3, 10, 41, 196]
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3"])
+    def test_rejects_sizes_that_are_not_ints(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"ground-set size {n!r} is not an int")):
+            idempotent_count(n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -272,21 +280,40 @@ def partition_with(prof):
     return SetPartition(tuple(blocks))
 
 
-KERNELS = {
-    count_t: counting._count_t,
-    count_sigma_grouped: counting._count_sigma_grouped,
-    count_units: counting._count_units,
-    count_sigma_idempotents: counting._count_sigma_idempotents,
+FORMULAS = {
+    count_t: "_count_t",
+    count_sigma_grouped: "_count_sigma_grouped",
+    count_units: "_count_units",
+    count_sigma_idempotents: "_count_sigma_idempotents",
 }
+
+
+@pytest.fixture
+def formula_calls(monkeypatch):
+    """Calls of each formula by its name, counted from a cold start: every
+    profile built from here on has an empty memo."""
+    core._profile_memo.cache_clear()
+    core._profile_of_sizes.cache_clear()
+    cli._profile_of_text.cache_clear()
+    calls = Counter()
+    for name in FORMULAS.values():
+
+        def counted(entries, name=name, formula=getattr(counting, name)):
+            calls[name] += 1
+            return formula(entries)
+
+        monkeypatch.setattr(counting, name, counted)
+    return calls
 
 
 class TestPerProfileCaches:
     @pytest.mark.parametrize("n", range(1, 15))
-    def test_public_counts_match_uncached_kernels(self, n):
+    def test_public_counts_match_their_formulas(self, n):
         for prof in profiles_of(n):
-            for public, kernel in KERNELS.items():
-                # twice, so the second call is answered from the cache
-                assert public(prof) == public(prof) == kernel.__wrapped__(prof.entries)
+            for public, name in FORMULAS.items():
+                # twice, so the second call is answered from the memo
+                want = getattr(counting, name)(prof.entries)
+                assert public(prof) == public(prof) == want
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_grouped_matches_direct_once_per_profile(self, n):
@@ -295,23 +322,58 @@ class TestPerProfileCaches:
             assert profile_of(p) == prof
             assert count_sigma_grouped(prof) == count_sigma_direct(p)
 
-    def test_guard_checked_on_a_cache_hit(self):
+    def test_equal_profiles_run_each_formula_once(self, formula_calls, capsys):
+        p = SetPartition(((0, 5), (1,), (2, 3, 4, 6), (7,)))
+        first = profile_of(p)
+        answers = [public(first) for public in FORMULAS]
+        for prof in (PartitionProfile(((4, 1), (1, 2), (2, 1))), profile_of(p)):
+            assert [public(prof) for public in FORMULAS] == answers
+        for set_name, (count, _) in counting.COUNTS.items():
+            want = f"{count(first, DEFAULT_GUARD)}\n"
+            for how in (("--profile", "2:1,1:2,4:1"), ("-p", str(p))):
+                assert cli.main(["count", *how, "--set", set_name]) == 0
+                assert capsys.readouterr().out == want
+        assert formula_calls == Counter(FORMULAS.values())
+
+    def test_sweep_runs_each_formula_once_per_profile(self, formula_calls):
+        for _ in range(2):
+            for p in iter_partitions(9):
+                prof = profile_of(p)
+                for public in FORMULAS:
+                    public(prof)
+        assert formula_calls == {name: 30 for name in FORMULAS.values()}
+
+    def test_guard_checked_on_a_memo_hit(self, formula_calls):
         prof = profile((1, 5), (2, 5))
-        counting._count_sigma_grouped.cache_clear()
         with pytest.raises(GuardExceededError) as cold:
             count_sigma_grouped(prof, guard=34)
+        assert formula_calls["_count_sigma_grouped"] == 0
         count_sigma_grouped(prof)
-        assert counting._count_sigma_grouped.cache_info().currsize == 1
         with pytest.raises(GuardExceededError) as warm:
-            count_sigma_grouped(prof, guard=34)
+            count_sigma_grouped(profile((2, 5), (1, 5)), guard=34)
+        assert formula_calls["_count_sigma_grouped"] == 1
         assert str(warm.value) == str(cold.value)
         assert warm.value.required == cold.value.required == 6 * 6 - 1
 
+    @pytest.mark.parametrize("set_name", list(counting.COUNTS))
+    def test_digit_charge_checked_on_a_memo_hit(self, formula_calls, set_name):
+        prof = profile((3, 40), (5, 2))
+        got = []
+        for guard in (1, DEFAULT_GUARD, 1):
+            try:
+                counting._charge_count(prof, set_name, guard)
+            except GuardExceededError as exc:
+                got.append((str(exc), exc.required))
+        assert len(got) == 2 and got[0] == got[1]
+        assert not formula_calls
+
     def test_every_cache_is_bounded(self):
         assert CACHE_SIZE >= 1
-        for kernel in KERNELS.values():
-            assert kernel.cache_info().maxsize == CACHE_SIZE
+        assert core._profile_memo.cache_info().maxsize == CACHE_SIZE
         assert counting._log10_idempotent_count.cache_info().maxsize == CACHE_SIZE
+        # no cache beside the memo
+        for name in FORMULAS.values():
+            assert not hasattr(getattr(counting, name), "cache_info")
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
     def test_kept_log10_term_is_the_idempotent_count(self, n):
