@@ -14,6 +14,10 @@ holds.  One measurement times:
 * ``homomorphism_s``: the character-homomorphism law alone over every
   partition with at most ``PAIRWISE_N_MAX`` points, on a census built
   beforehand and not timed;
+* ``brute_t_s``: the brute-force scan of T alone, every member of
+  ``_members(p, "T", "brute", guard)`` drawn for every partition with at
+  most ``n_max`` points, so the scan is timed apart from the filters that
+  the census runs on its stream;
 * ``census_seconds`` and ``<law>_seconds``: the parts of that
   ``run_verification`` call as it reports them, the brute-force census and
   each law's own time (``<law>`` is the law's name up to any
@@ -36,9 +40,11 @@ from partmaps.verification import LAWS
 # runs inside the child interpreter; prints one JSON object
 MEASURE = """
 import json, sys
+from collections import deque
 from time import perf_counter
 from partmaps import verification as v
 from partmaps.core import iter_partitions
+from partmaps.enumeration import _members
 
 n_max = int(sys.argv[1])
 start = perf_counter()
@@ -58,9 +64,16 @@ for p, data in census:
 homomorphism_s = perf_counter() - start
 assert tally.failures == 0
 
+partitions = [p for n in range(1, n_max + 1) for p in iter_partitions(n)]
+start = perf_counter()
+for p in partitions:
+    deque(_members(p, "T", "brute", v.DEFAULT_GUARD), maxlen=0)
+brute_t_s = perf_counter() - start
+
 print(json.dumps({
     "verify_s": verify_s,
     "homomorphism_s": homomorphism_s,
+    "brute_t_s": brute_t_s,
     "census_seconds": results.census_seconds,
     **{r.name.split("(")[0] + "_seconds": r.seconds for r in results},
     "cases": {r.name: r.cases for r in results},
@@ -70,6 +83,7 @@ print(json.dumps({
 METRICS = (
     "verify_s",
     "homomorphism_s",
+    "brute_t_s",
     "census_seconds",
     *(f"{name.split('(')[0]}_seconds" for name, _ in LAWS),
 )
@@ -84,7 +98,10 @@ def main(argv: list[str] | None = None) -> int:
         code=MEASURE,
         argv=[str(args.n_max)],
         metrics=METRICS,
-        benchmark=f"run_verification({args.n_max}), its census, its laws and its homomorphism law",
+        benchmark=(
+            f"run_verification({args.n_max}), its census, its laws, its homomorphism law "
+            "and the brute scan of T"
+        ),
         script="benchmarks/bench_verify.py",
         options=f"--n-max {args.n_max}",
     )

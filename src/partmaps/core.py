@@ -104,7 +104,8 @@ class Transformation:
         return cls(tuple(range(n)))
 
     def is_bijection(self) -> bool:
-        return len(set(self.images)) == self.n
+        images = self.images
+        return len(set(images)) == len(images)
 
     def inverse(self) -> "Transformation":
         if not self.is_bijection():
@@ -184,8 +185,15 @@ class PartitionProfile:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        try:
+            given = tuple(self.entries)
+        except TypeError:
+            raise ValueError(
+                f"profile entries {self.entries!r} are not a sequence of "
+                f"(size, multiplicity) pairs"
+            ) from None
         entries = []
-        for entry in self.entries:
+        for entry in given:
             try:
                 s, c = entry
             except (TypeError, ValueError):
@@ -238,9 +246,13 @@ class PartitionProfile:
         return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CharacterMap:
-    """The selfmap induced on block indices by a block-preserving map."""
+    """The selfmap induced on block indices by a block-preserving map.
+
+    The table is the only slot: instances have no ``__dict__`` and cannot
+    be weakly referenced.
+    """
 
     images: tuple[int, ...]
 
@@ -270,7 +282,8 @@ class CharacterMap:
         return CharacterMap(tuple(other.images[j] for j in self.images))
 
     def is_bijective(self) -> bool:
-        return len(set(self.images)) == self.m
+        images = self.images
+        return len(set(images)) == len(images)
 
     # on a finite set a selfmap is injective iff surjective iff bijective;
     # the three names exist so call sites can state their intent
@@ -352,12 +365,13 @@ def _canonical_blocks(
 
 
 _new = object.__new__
-_set = object.__setattr__
-# store tables into a bare ``Transformation`` or ``SetPartition``, past the
-# frozen ``__setattr__``; the generators build their maps with the first too
+# store tables into a bare ``Transformation``, ``SetPartition`` or
+# ``CharacterMap``, past the frozen ``__setattr__``; the generators build
+# their maps with the first too
 _store_images = Transformation.images.__set__
 _store_blocks = SetPartition.blocks.__set__
 _store_block_index = SetPartition.block_index.__set__
+_store_character = CharacterMap.images.__set__
 
 
 def _trusted_transformation(images: tuple[int, ...]) -> Transformation:
@@ -389,7 +403,7 @@ def _trusted_character(images: tuple[int, ...]) -> CharacterMap:
     Skips validation; callers vouch for the table.
     """
     c = _new(CharacterMap)
-    _set(c, "images", images)
+    _store_character(c, images)
     return c
 
 

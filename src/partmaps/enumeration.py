@@ -5,7 +5,9 @@ image tables, whatever the strategy, so different strategies can be
 compared element by element.  The sets are the rows of
 ``membership.SETS``, each a filter of its base.  Two strategies exist:
 
-* ``brute``: run through all n**n image tables and keep the members.
+* ``brute``: run through all n**n image tables and keep the members.  T
+  decides each table in C from the block labels of its images; every
+  other set filters T's stream with its test.
 * ``constructive``: assemble members point by point (each preserving map
   is a free choice, per block, of a codomain block and a map into it),
   never touching a non-member.  For each partition and set, a loop nest
@@ -39,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import factorial, prod
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterator
 
 from .core import (
@@ -92,21 +94,26 @@ def _check_strategy(strategy: str) -> None:
 
 
 def _brute_preserving(p: SetPartition) -> Iterator[Transformation]:
+    """The preserving maps among all n**n image tables, lexicographically.
+
+    Each table is decided in C from the block labels of its images, which
+    ``product(block_index, repeat=n)`` yields in step with the tables.  A
+    table preserves p exactly when every point's image lies in the same
+    block as the image of its block's lead, the block's first point.
+    ``lead`` reads, for every point, the label at its lead, so the test is
+    one tuple comparison per table, and only members are built.
+    """
     n = p.n
-    blocks = p.blocks
+    tables = itertools.product(range(n), repeat=n)
+    if n == 1:  # every table preserves; an itemgetter of one index returns a bare item
+        return map(_trusted_transformation, tables)
     idx = p.block_index
-    for images in itertools.product(range(n), repeat=n):
-        ok = True
-        for block in blocks:
-            j = idx[images[block[0]]]
-            for x in block:
-                if idx[images[x]] != j:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield _trusted_transformation(images)
+    blocks = p.blocks
+    lead = itemgetter(*(blocks[i][0] for i in idx))
+    # two streams of the same labels, one read at the leads
+    lead_labels = map(lead, itertools.product(idx, repeat=n))
+    flags = map(eq, lead_labels, itertools.product(idx, repeat=n))
+    return map(_trusted_transformation, itertools.compress(tables, flags))
 
 
 # points per function of a compiled loop nest: CPython refuses more than 20

@@ -32,15 +32,21 @@ class NotInSigmaError(ValueError):
 
 
 def _require_same_n(f: Transformation, p: SetPartition) -> None:
+    """Raise the one error text for a map and a partition on different ground sets.
+
+    The predicates test the two sizes inline and call this only when they
+    differ, so the common case pays no extra call.
+    """
     if len(f.images) != len(p.block_index):
         raise ValueError(f"ground sets differ: map on {f.n} points, partition of {p.n}")
 
 
 def preserves(f: Transformation, p: SetPartition) -> bool:
     """True when the image of every block is contained in a single block."""
-    _require_same_n(f, p)
     idx = p.block_index
     img = f.images
+    if len(img) != len(idx):
+        _require_same_n(f, p)
     for block in p.blocks:
         j = idx[img[block[0]]]
         for x in block:
@@ -55,9 +61,10 @@ def character(f: Transformation, p: SetPartition) -> CharacterMap:
     Every entry is a block index read from ``p``, so the result is built
     without validating it again.
     """
-    _require_same_n(f, p)
     idx = p.block_index
     img = f.images
+    if len(img) != len(idx):
+        _require_same_n(f, p)
     out = []
     for i, block in enumerate(p.blocks):
         j = idx[img[block[0]]]
@@ -108,11 +115,13 @@ def sigma_via_topology(f: Transformation, p: SetPartition) -> bool:
     unions, so checking the basis decides all open sets at once.  The
     preimages of all blocks are gathered in one pass over the image table.
     """
-    _require_same_n(f, p)
     idx = p.block_index
+    img = f.images
+    if len(img) != len(idx):
+        _require_same_n(f, p)
     blocks = p.blocks
     pre: list[set[int]] = [set() for _ in blocks]
-    for x, y in enumerate(f.images):
+    for x, y in enumerate(img):
         pre[idx[y]].add(x)
     for pre_j in pre:
         if not pre_j:
@@ -129,10 +138,11 @@ def is_e_star_preserving(f: Transformation, p: SetPartition) -> bool:
     Implemented as the literal check over all point pairs, independent of
     the character map.
     """
-    _require_same_n(f, p)
     idx = p.block_index
     img = f.images
-    n = f.n
+    n = len(img)
+    if n != len(idx):
+        _require_same_n(f, p)
     for x in range(n):
         for y in range(x + 1, n):
             if (idx[x] == idx[y]) != (idx[img[x]] == idx[img[y]]):
@@ -152,7 +162,8 @@ def in_units(f: Transformation, p: SetPartition) -> bool:
     codomain block and the induced block-index map is a bijection, or
     directly, f is a permutation and both f and its inverse preserve p.
     """
-    _require_same_n(f, p)
+    if len(f.images) != len(p.block_index):
+        _require_same_n(f, p)
     if not f.is_bijection():
         return False
     try:
@@ -168,7 +179,10 @@ def is_idempotent(f: Transformation) -> bool:
     on the image table without building the composite.
     """
     img = f.images
-    return all(img[y] == y for y in img)
+    for y in img:
+        if img[y] != y:
+            return False
+    return True
 
 
 def sigma_idempotent_via_blocks(f: Transformation, p: SetPartition) -> bool:

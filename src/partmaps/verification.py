@@ -11,8 +11,9 @@ count and its own wall time in seconds, so a caller can render a
 pass/fail matrix; the run also reports the time spent building the shared
 brute-force census.  Most laws check their cases in bulk: the pass flags
 of many cases come from C-level ``map`` calls over the census lists and
-are counted at once.  Failure text is built only for failing cases, and
-only for the first three of each law.
+are counted at once.  Members are compared, and kept in sets, by their
+image tables.  Failure text is built only for failing cases, and only for
+the first three of each law.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ from .membership import (
 # at a smaller ground set than the rest of the harness
 PAIRWISE_N_MAX = 4
 
+# members are compared and hashed by their image tables, plain tuples of
+# ints, which skips the dataclass methods of ``Transformation``
+_tables = attrgetter("images")
+
 
 @dataclass
 class CheckResult:
@@ -117,6 +122,17 @@ class _Tally:
         self.failures += len(failed)
         for i in failed[: 3 - len(self.examples)]:
             self.examples.append(describe(i))
+
+    def check_equal(self, got: list, want: list, describe: Callable[[int], str]) -> None:
+        """Count one case per position of two lists of equal length.
+
+        Case i passes when ``got[i] == want[i]``.  The lists are compared
+        whole first, and per-case flags are built only when they differ.
+        """
+        if got == want:
+            self.cases += len(got)
+        else:
+            self.check_all(map(eq, got, want), describe)
 
     def run(self, law: Callable[..., None], p: SetPartition, data: dict, guard: int) -> None:
         """Run ``law(self, p, data, guard)`` and add its wall time to this tally."""
@@ -179,18 +195,20 @@ def _check_strategies(tally, p, data, guard):
     for name, (_, _, label) in SETS.items():
         if label is not None:  # a set with a count formula has a compiled kernel
             tally.check(
-                data[name] == list(_members(p, name, "constructive", guard)),
+                list(map(_tables, data[name]))
+                == list(map(_tables, _members(p, name, "constructive", guard))),
                 lambda: f"{name} sequences at {p}",
             )
 
 
 def _check_containments(tally, p, data, guard):
-    t_set = set(data["T"])
-    sigma_set = set(data["Sigma"])
+    t_set, sigma_set, s_set, e_sigma_set, e_t_set = (
+        set(map(_tables, data[name])) for name in ("T", "Sigma", "S", "E-Sigma", "E-T")
+    )
     tally.check(sigma_set <= t_set, lambda: f"Sigma inside T at {p}")
-    tally.check(set(data["S"]) <= sigma_set, lambda: f"units inside Sigma at {p}")
+    tally.check(s_set <= sigma_set, lambda: f"units inside Sigma at {p}")
     tally.check(
-        set(data["E-Sigma"]) == sigma_set & set(data["E-T"]),
+        e_sigma_set == sigma_set & e_t_set,
         lambda: f"E(Sigma) = Sigma intersect E(T) at {p}",
     )
 
@@ -198,8 +216,7 @@ def _check_containments(tally, p, data, guard):
 def _check_four_way(tally, p, data, guard):
     t_maps = data["T"]
     # every route runs on every member of T; in_sigma's are the census's Sigma
-    tables = attrgetter("images")
-    a = map(set(map(tables, data["Sigma"])).__contains__, map(tables, t_maps))
+    a = map(set(map(_tables, data["Sigma"])).__contains__, map(_tables, t_maps))
     b, c, d = (
         list(map(route, t_maps, repeat(p)))
         for route in (sigma_via_character, is_e_star_preserving, sigma_via_topology)
@@ -230,18 +247,19 @@ def _check_homomorphism(tally, p, data, guard):
     lookup = dict(zip(tables, chars)).get
     for f, table, cf in zip(t_maps, tables, chars):
         # one batch per f: case i is the pair (f, g) with g the i-th member
-        tally.check_all(
-            map(eq, map(lookup, map(_reader(table), tables)), map(_reader(cf), chars)),
+        tally.check_equal(
+            list(map(lookup, map(_reader(table), tables))),
+            list(map(_reader(cf), chars)),
             lambda i: f"{f};{t_maps[i]} at {p}",
         )
 
 
 def _check_units(tally, p, data, guard):
     t_maps, units = data["T"], data["S"]
-    unit_set = set(units)
+    unit_set = set(map(_tables, units))
     tally.check_all(
         [
-            (f in unit_set)
+            (f.images in unit_set)
             == (f.is_bijection() and preserves(f, p) and preserves(f.inverse(), p))
             for f in t_maps
         ],

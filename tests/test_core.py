@@ -28,6 +28,7 @@ from partmaps.core import (
     parse_transformation,
     _profile_memo,
     _profile_of_sizes,
+    _trusted_character,
     profile_of,
 )
 from strategies import partitions, shuffled_text, transformations
@@ -280,6 +281,12 @@ class TestProfile:
         with pytest.raises(ValueError, match=re.escape(want)):
             PartitionProfile(entries)
 
+    @pytest.mark.parametrize("entries", [5, None])
+    def test_rejects_entries_that_are_not_a_sequence(self, entries):
+        want = f"profile entries {entries!r} are not a sequence of (size, multiplicity) pairs"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            PartitionProfile(entries)
+
     def test_equal_profiles_share_one_memo_outside_the_fields(self):
         # from a cold start: a profile kept by profile_of outlives its entries'
         # turn in the memo cache when more than CACHE_SIZE others are built
@@ -474,6 +481,44 @@ class TestCharacterMapType:
 
     def test_as_transformation(self):
         assert CharacterMap((1, 0)).as_transformation() == Transformation((1, 0))
+
+    def test_slotted_instances(self):
+        chi = CharacterMap((1, 0))
+        assert not hasattr(chi, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(chi)
+        with pytest.raises(AttributeError):
+            chi.images = (0, 0)
+
+    def test_pickle_and_copy_round_trips(self):
+        validated = CharacterMap((2, 0, 0))
+        for chi in (validated, _trusted_character((2, 0, 0))):
+            for twin in (pickle.loads(pickle.dumps(chi)), copy.copy(chi), copy.deepcopy(chi)):
+                assert type(twin) is CharacterMap
+                assert twin == validated and hash(twin) == hash(validated)
+                assert twin.images == (2, 0, 0)
+
+    def test_repr_equality_order_and_hash(self):
+        chi = CharacterMap((1, 0))
+        assert repr(chi) == "CharacterMap(images=(1, 0))"
+        assert str(chi) == "1,0"
+        assert chi == CharacterMap([1, 0]) and chi != CharacterMap((0, 1))
+        assert chi != (1, 0) and chi != Transformation((1, 0))
+        # ordered by the image tables, and hashed as the tuple of the one field
+        tables = [(1, 1, 0), (0, 2, 1), (0, 0, 0), (1, 0, 2)]
+        assert [c.images for c in sorted(map(CharacterMap, tables))] == sorted(tables)
+        assert CharacterMap((0, 1)) < chi <= CharacterMap((1, 0)) < CharacterMap((1, 1))
+        assert hash(chi) == hash(((1, 0),))
+        with pytest.raises(TypeError):
+            chi < (1, 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_trusted_matches_validated(self, m):
+        for table in itertools.product(range(m), repeat=m):
+            trusted, validated = _trusted_character(table), CharacterMap(table)
+            assert type(trusted) is CharacterMap
+            assert trusted == validated and hash(trusted) == hash(validated)
+            assert repr(trusted) == repr(validated)
 
 
 class TestIterPartitions:

@@ -503,6 +503,11 @@ class TestAgainstBruteCensus:
         for blocks in oracles.all_partitions(n):
             p = SetPartition(blocks)
             t, sigma, units, e_t, e_sigma = oracles.census(blocks, n)
+            # the brute scan keeps exactly the tables of itertools.product
+            # that pass oracles.o_preserves, in order; n = 1 included
+            brute_t = list(iter_t(p, "brute"))
+            assert all(type(f) is Transformation for f in brute_t)
+            assert [f.images for f in brute_t] == t
             assert [f.images for f in enumerate_t(p)] == t
             assert [f.images for f in enumerate_sigma(p)] == sigma
             assert [f.images for f in enumerate_units(p)] == units

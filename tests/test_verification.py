@@ -86,6 +86,45 @@ def test_wrong_topology_fails_the_four_way_equivalence(monkeypatch):
     assert law.detail == "108 cases, 2 failures: 2,2,0 at 0,1|2; 2,2,0 at 0,2|1"
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda members: members[:3] + members[4:],  # one member missing
+        lambda members: members[:3] + members[4:5] + members[3:4] + members[5:],  # two swapped
+    ],
+    ids=["missing", "swapped"],
+)
+def test_a_wrong_constructive_stream_fails_the_strategy_law(monkeypatch, edit):
+    real = verification._members
+
+    def edited(p, set_name, strategy, *args):
+        stream = real(p, set_name, strategy, *args)
+        if strategy == "constructive" and set_name == "Sigma" and str(p) == "0,1|2":
+            return iter(edit(list(stream)))
+        return stream
+
+    monkeypatch.setattr(verification, "_members", edited)
+    law = _by_name(run_verification(3))["brute-vs-constructive-enumeration"]
+    assert not law.passed
+    assert law.detail == "32 cases, 1 failures: Sigma sequences at 0,1|2"
+
+
+def test_a_unit_missing_from_the_census_fails_the_units_law(monkeypatch):
+    real = verification._census
+
+    def without_swap(p, guard):
+        data = real(p, guard)
+        if str(p) == "0,1|2":
+            data["S"] = [f for f in data["S"] if f.images != (1, 0, 2)]
+        return data
+
+    monkeypatch.setattr(verification, "_census", without_swap)
+    law = _by_name(run_verification(3))["units-criterion-and-block-images"]
+    assert not law.passed
+    # the unit's two block-image cases go with it
+    assert law.detail == "149 cases, 1 failures: unit criteria disagree on 1,0,2 at 0,1|2"
+
+
 def test_failure_text_is_built_only_for_stored_failures():
     tally = verification._Tally("law")
     built = []
@@ -120,6 +159,21 @@ def test_batch_checks_pass_the_failing_index_to_describe():
     assert seen == [1, 4]
     assert (tally.cases, tally.failures) == (7, 2)
     assert tally.result().detail == "7 cases, 2 failures: case 1; case 4"
+
+
+def test_equal_lists_count_their_cases_and_unequal_ones_each_position():
+    tally = verification._Tally("law")
+    seen = []
+
+    def describe(i):
+        seen.append(i)
+        return f"case {i}"
+
+    tally.check_equal([1, 2, 3], [1, 2, 3], describe)
+    assert (tally.cases, tally.failures, seen) == (3, 0, [])
+    tally.check_equal([1, 2, 3], [1, 0, 0], describe)
+    assert (tally.cases, tally.failures, seen) == (6, 2, [1, 2])
+    assert tally.result().detail == "6 cases, 2 failures: case 1; case 2"
 
 
 def test_single_and_batch_checks_share_the_first_three_examples():
