@@ -17,6 +17,8 @@ milliseconds, are medians of the repetitions except the first:
 * ``check_<predicate>_ms``: ``check -p 0,1|2,3 -f 2,3,0,1`` with each
   predicate;
 * ``count_sigma_ms``: ``count --profile 2:30,3:30 --set Sigma``;
+* ``count_big_ms``: ``count --profile 3:5914 --set T``, an answer of about
+  30 800 digits, printed again on every repetition;
 * ``enumerate_s_ms``: ``enumerate --set S --limit 3`` on 8 singletons;
 * ``quotient7_ms``: ``quotient`` on 7 singletons (5040 classes);
 * ``quotient7_mixed_ms``: ``quotient`` on ``0|1,2|3|4,5,6|7|8,9|10``, seven
@@ -83,6 +85,7 @@ CHECK = ["check", "-p", "0,1|2,3", "-f", "2,3,0,1", "--predicate"]
 CALLS = [(f"check_{pred.replace('-', '_')}_ms", CHECK + [pred], 101) for pred in cli.PREDICATES]
 CALLS += [
     ("count_sigma_ms", ["count", "--profile", "2:30,3:30", "--set", "Sigma"], 101),
+    ("count_big_ms", ["count", "--profile", "3:5914", "--set", "T"], 101),
     ("enumerate_s_ms", ["enumerate", "-p", "|".join(map(str, range(8))), "--set", "S",
                         "--limit", "3"], 101),
     ("quotient7_ms", ["quotient", "-p", "|".join(map(str, range(7)))], 11),
@@ -126,6 +129,7 @@ METRICS = (
     "first_call_ms",
     *(f"check_{pred.replace('-', '_')}_ms" for pred in PREDICATES),
     "count_sigma_ms",
+    "count_big_ms",
     "enumerate_s_ms",
     "quotient7_ms",
     "quotient7_mixed_ms",

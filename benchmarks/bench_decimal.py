@@ -7,13 +7,12 @@ Usage::
 
 Each ``--src LABEL=DIR`` names a directory holding the ``partmaps``
 package; ``paired.py`` says how the trees take turns and what the JSON
-holds.  The writer measured is the function behind the CLI's cached
-``partmaps.cli._decimal``, uncached, as every count is written the first
-time; where that function is plain ``str()``, the two metrics of a size
-time the same thing.  One measurement lifts the interpreter's int-to-str
-digit limit in its own process, so that ``str()`` writes every size, and
-times, in milliseconds, for random ints of about 5 k, 30 k, 100 k and
-300 k decimal digits:
+holds.  The writer measured is ``partmaps.cli._int_text``, which writes
+every integer the CLI prints; where that function is plain ``str()``, the
+two metrics of a size time the same thing.  One measurement lifts the
+interpreter's int-to-str digit limit in its own process, so that ``str()``
+writes every size, and times, in milliseconds, for random ints of about
+5 k, 30 k, 100 k and 300 k decimal digits:
 
 * ``writer_<size>_ms``: the writer, median of the repetitions;
 * ``str_<size>_ms``: ``str()``, median of the repetitions.
@@ -38,7 +37,7 @@ from time import perf_counter
 import partmaps.cli
 
 SIZES = {sizes!r}
-write = partmaps.cli._decimal.__wrapped__
+write = partmaps.cli._int_text
 sys.set_int_max_str_digits(0)
 
 def median_ms(fn, value, reps):
@@ -73,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         argv=[],
         metrics=METRICS,
         benchmark=(
-            "the CLI's integer writer, uncached, against str() with the digit limit "
+            "the CLI's integer writer against str() with the digit limit "
             "lifted, on random ints of 5 k to 300 k decimal digits"
         ),
         script="benchmarks/bench_decimal.py",

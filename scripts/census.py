@@ -14,6 +14,7 @@ Usage:
 
 import argparse
 import sys
+from operator import add
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -25,6 +26,11 @@ from partmaps.verification import LAWS, _census, _Tally
 CHECKED = ("cardinality-formulas-vs-enumeration", "brute-vs-constructive-enumeration")
 
 
+def row(label, cells):
+    """One line of the table: the label, then one right-aligned cell per count."""
+    return f"{label:<24}" + "".join(f" {cell:>10}" for cell in cells)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=4, help="ground-set size")
@@ -34,26 +40,21 @@ def main():
     args = parser.parse_args()
 
     laws = [(_Tally(name), dict(LAWS)[name]) for name in CHECKED]
-    header = f"{'partition':<24} {'|T|':>10} {'|Sigma|':>10} {'|S|':>8} {'|E(Sigma)|':>10}"
+    header = row("partition", (f"|{name}|" for name in COUNTS))
     print(header)
     print("-" * len(header))
-    totals = [0, 0, 0, 0]
+    totals = [0] * len(COUNTS)
     for p in iter_partitions(args.n):
-        label = format_partition(p)
         profile = profile_of(p)
         counts = [count(profile, DEFAULT_GUARD) for count, _ in COUNTS.values()]
         if args.check:
             data = _census(p, DEFAULT_GUARD)
             for tally, law in laws:
                 tally.run(law, p, data, DEFAULT_GUARD)
-        for i, c in enumerate(counts):
-            totals[i] += c
-        print(
-            f"{label:<24} {counts[0]:>10} {counts[1]:>10} "
-            f"{counts[2]:>8} {counts[3]:>10}"
-        )
+        totals = list(map(add, totals, counts))
+        print(row(format_partition(p), counts))
     print("-" * len(header))
-    print(f"{'sum':<24} {totals[0]:>10} {totals[1]:>10} {totals[2]:>8} {totals[3]:>10}")
+    print(row("sum", totals))
     if not args.check:
         return 0
     results = [tally.result() for tally, _ in laws]

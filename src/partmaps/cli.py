@@ -15,7 +15,7 @@ verification), 2 input error, 3 work guard exceeded (for ``count`` also by
 the charge on its answer's digits, made before counting), 141 stdout
 closed by its reader (as a shell reports a writer killed by SIGPIPE).
 
-Integers print exactly at any length: ``_int_text`` writes every one.
+Integers print exactly at any length: ``core._int_text`` writes every one.
 """
 
 from __future__ import annotations
@@ -30,11 +30,13 @@ from . import counting, cycles, enumeration, verification
 from .core import (
     CACHE_SIZE,
     DEFAULT_GUARD,
+    _STR_BITS,
     CharacterMap,
     GuardExceededError,
     ParseError,
     PartitionProfile,
     SetPartition,
+    _int_text,
     check_guard,
     format_partition,
     format_transformation,
@@ -70,11 +72,6 @@ PREDICATES = {
     "idempotent": lambda f, p: is_idempotent(f),
     "sigma-idempotent": lambda f, p: sigma_idempotent_via_blocks(f, p),
 }
-
-# ints of fewer bits than this have fewer decimal digits than the smallest
-# limit CPython accepts for str(), since 2**3 < 10, so str() writes them all
-_STR_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
-
 
 def _emit_json(payload: dict) -> None:
     import json  # here, so that a call printing lines never loads it
@@ -174,64 +171,11 @@ def _profile_of_text(text: str) -> PartitionProfile:
     return profile_of(parse_partition(text))
 
 
-def _int_text(value: int) -> str:
-    """``str(value)`` for an int of any length, in less than quadratic time.
-
-    Every integer the CLI prints is written here.  ``str()`` writes an
-    int of fewer than ``_STR_BITS`` bits; it refuses longer ones past
-    ``sys.get_int_max_str_digits()`` (4300 digits by default) because its
-    conversion takes time quadratic in the length.  A longer int is split
-    at a power of two, high * 2**w + low, each half written the same way
-    down to ``_STR_BITS`` bits, and the halves are joined in ``decimal``,
-    where exact products of large numbers are fast and a whole number
-    prints in linear time.  The limit is never lifted: it is one setting
-    for the whole process.
-    """
-    if value.bit_length() < _STR_BITS:
-        return str(value)
-    import decimal  # here, so that a call printing short ints never loads it
-
-    powers: dict[int, decimal.Decimal] = {}  # w -> 2**w
-
-    def power(w: int) -> decimal.Decimal:
-        got = powers.get(w)
-        if got is None:
-            half = w >> 1
-            got = decimal.Decimal(1 << w) if w < _STR_BITS else power(half) * power(w - half)
-            powers[w] = got
-        return got
-
-    def convert(n: int, w: int) -> decimal.Decimal:  # 0 <= n < 2**w
-        if w < _STR_BITS:
-            return decimal.Decimal(n)
-        half = w >> 1
-        high = n >> half
-        return convert(high, w - half) * power(half) + convert(n - (high << half), half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True  # a rounded step raises, never prints
-        text = str(convert(abs(value), value.bit_length()))
-    return "-" + text if value < 0 else text
-
-
 def _int_writer(bound: int) -> Callable[[int], str]:
     """The writer of ints no longer than ``bound``: ``str`` itself when
     ``_int_text`` would hand them all to it, so that many short ints are
     written with no Python call each."""
     return str if bound.bit_length() < _STR_BITS else _int_text
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _decimal(count: int) -> str:
-    """``_int_text(count)``, kept for the counts the formulas keep.
-
-    Writing a count of a few thousand digits in decimal costs hundreds of
-    times the cached formula's lookup, so a repeated ``count`` would
-    otherwise cost as much as its first.
-    """
-    return _int_text(count)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -242,8 +186,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         profile = _parse_profile(args.profile)
     # a set without a count formula is rejected by the parser
-    counting._charge_count(profile, args.set, args.guard)
-    text = _decimal(counting.COUNTS[args.set][0](profile, args.guard))
+    text = counting._count_text(profile, args.set, args.guard)
     if args.format == "json":
         _emit_json(
             {

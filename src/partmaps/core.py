@@ -32,6 +32,7 @@ profiles included, goes through its validating constructor.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,10 +41,14 @@ from typing import Iterator
 
 DEFAULT_GUARD = 10**7
 
-# answers kept by each per-profile cache (``profile_of``, the profiles'
-# memos of their counts, and the decimal counts of ``count``); one entry per
-# profile, and n <= 14 has only 135 profiles
+# answers kept by each per-profile cache (``profile_of`` and the profiles'
+# memos of their counts and count texts); one entry per profile, and n <= 14
+# has only 135 profiles
 CACHE_SIZE = 1024
+
+# ints of fewer bits than this have fewer decimal digits than the smallest
+# limit CPython accepts for str(), since 2**3 < 10, so str() writes them all
+_STR_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 
 class ParseError(ValueError):
@@ -482,6 +487,48 @@ def format_transformation(f: Transformation) -> str:
 
 def format_partition(p: SetPartition) -> str:
     return "|".join(",".join(str(x) for x in b) for b in p.blocks)
+
+
+def _int_text(value: int) -> str:
+    """``str(value)`` for an int of any length, in less than quadratic time.
+
+    Every integer the CLI prints is written here.  ``str()`` writes an
+    int of fewer than ``_STR_BITS`` bits; it refuses longer ones past
+    ``sys.get_int_max_str_digits()`` (4300 digits by default) because its
+    conversion takes time quadratic in the length.  A longer int is split
+    at a power of two, high * 2**w + low, each half written the same way
+    down to ``_STR_BITS`` bits, and the halves are joined in ``decimal``,
+    where exact products of large numbers are fast and a whole number
+    prints in linear time.  The limit is never lifted: it is one setting
+    for the whole process.
+    """
+    if value.bit_length() < _STR_BITS:
+        return str(value)
+    import decimal  # here, so that a call printing short ints never loads it
+
+    powers: dict[int, decimal.Decimal] = {}  # w -> 2**w
+
+    def power(w: int) -> decimal.Decimal:
+        got = powers.get(w)
+        if got is None:
+            half = w >> 1
+            got = decimal.Decimal(1 << w) if w < _STR_BITS else power(half) * power(w - half)
+            powers[w] = got
+        return got
+
+    def convert(n: int, w: int) -> decimal.Decimal:  # 0 <= n < 2**w
+        if w < _STR_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        high = n >> half
+        return convert(high, w - half) * power(half) + convert(n - (high << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # a rounded step raises, never prints
+        text = str(convert(abs(value), value.bit_length()))
+    return "-" + text if value < 0 else text
 
 
 def iter_partitions(n: int, block_count: int | None = None) -> Iterator[SetPartition]:

@@ -14,18 +14,18 @@ profile's memo, one dict shared by all equal profiles (see
 ``PartitionProfile``; the last ``CACHE_SIZE`` distinct profiles keep
 theirs): a sweep over all partitions of n evaluates each formula once per
 profile, not once per partition, and a repeated count costs one dict read.
-The grouped Sigma count keeps its guard's state count there too, and
-checks the guard on every call, before the count is read or computed, so
-a kept answer never skips the guard.
+The memo is the one home of a count, its guard charges and the text that
+``count`` prints; every guard is checked on every call, so a kept answer
+never skips a guard.  Every caller counts a set through its row of
+:data:`COUNTS`, so a new count is a kernel and one row.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
 from math import comb, factorial, fsum, inf, lgamma, log, log10, prod
 
-from .core import CACHE_SIZE, DEFAULT_GUARD, PartitionProfile, SetPartition, check_guard
+from .core import DEFAULT_GUARD, PartitionProfile, SetPartition, _int_text, check_guard
 from .membership import SETS
 
 import itertools
@@ -173,8 +173,8 @@ def log10_count(profile: PartitionProfile, set_name: str) -> float | None:
     The relative error is rounding only, far below 1e-9, so the value tells
     how many decimal digits the count has except within a hair of a power of
     ten.  It costs a few float operations per pair of size classes (for
-    E(Sigma), a few thousand per block size at most, once each size's term
-    is kept), however large the count.
+    E(Sigma), a few thousand per block size at most), however large the
+    count.
     """
     log10 = COUNTS.get(set_name, (None, None))[1]
     return None if log10 is None else log10(profile.entries)
@@ -195,7 +195,6 @@ def _log10_sigma_idempotents(entries: tuple[tuple[int, int], ...]) -> float:
     return fsum(mult * _log10_idempotent_count(size) for size, mult in entries)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _log10_idempotent_count(n: int) -> float:
     """log10 of :func:`idempotent_count`, from the terms a float can hold.
 
@@ -248,6 +247,18 @@ def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
             required = profile.m * (int(log10_count(profile, SETS[set_name][0])) + 1)
         memo[what] = required
     check_guard(required, guard, what)
+
+
+def _count_text(profile: PartitionProfile, set_name: str, guard: int) -> str:
+    """The decimal text of a set's count, written once and kept in the memo;
+    the digit charge and the count's own guard are checked on every call."""
+    _charge_count(profile, set_name, guard)
+    count = COUNTS[set_name][0](profile, guard)
+    key = f"{set_name} count text"
+    text = profile._memo.get(key)
+    if text is None:
+        text = profile._memo[key] = _int_text(count)
+    return text
 
 
 # name -> (count(profile, guard), log10(entries) or None) for each set of

@@ -32,7 +32,9 @@ bounds the number of candidate maps a call may visit, and it is checked
 when the call is made.  It counts all n**n tables for ``brute``, the exact
 member count for ``constructive``, and ``min(count, limit + 1)`` for a
 constructive ``enumerate_*`` call with a ``limit``.  A filter keeps its
-base's full bound.
+base's full bound, except a constructive one under a ``limit`` (E-T): it
+is charged the base members it draws, and raises, with its base's label,
+once it would draw more than the guard.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .core import (
     CACHE_SIZE,
     DEFAULT_GUARD,
     CharacterMap,
+    GuardExceededError,
     SetPartition,
     Transformation,
     _store_images,
@@ -265,6 +268,8 @@ def _members(
     Brute T scans all n**n tables; any other brute set, and any set without
     a count formula, filters its base's stream with its test.  Every other
     set runs its kernel, charged its count (at most ``limit + 1``) first.
+    A constructive filter under a ``limit`` asks its base for a prefix of
+    ``guard`` members and is charged its draws: asking for one more raises.
     """
     _check_strategy(strategy)
     base, test, label = SETS[set_name]
@@ -272,11 +277,24 @@ def _members(
         check_guard(p.n**p.n, guard, "brute-force candidate maps")
         return _brute_preserving(p)
     if strategy == "brute" or label is None:
-        return (f for f in _members(p, base, strategy, guard) if test(f, p))
+        if strategy == "brute" or limit is None:
+            stream = _members(p, base, strategy, guard)
+        else:  # a prefix is charged the base members it draws, not the whole base
+            stream = _drawn(_members(p, base, strategy, guard, guard - 1), guard, SETS[base][2])
+        return (f for f in stream if test(f, p))
     if limit is None or limit >= guard:  # otherwise min(count, limit + 1) <= guard
         required = COUNTS[set_name][0](profile_of(p), guard)
         check_guard(required if limit is None else min(required, limit + 1), guard, label)
     return _kernel(p, set_name)(_store_images)
+
+
+def _drawn(stream: Iterator[Transformation], guard: int, what: str) -> Iterator[Transformation]:
+    """The first ``guard`` items of ``stream``; drawing one more raises, as
+    a charge of ``guard + 1`` items would."""
+    check_guard(0, guard, what)
+    yield from itertools.islice(stream, guard)
+    for _ in stream:
+        raise GuardExceededError(what, guard + 1, guard)
 
 
 def _idempotent_set(ambient: str) -> str:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import bad_input
 import oracles
-from partmaps import cli, counting, enumeration
+from partmaps import cli, core, counting, enumeration
 from partmaps.cli import PREDICATES, main
 from partmaps.core import (
     CACHE_SIZE,
@@ -42,6 +42,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cold_memos():
+    """Drop every kept profile, so that each profile built next has an empty memo."""
+    core._profile_memo.cache_clear()
+    core._profile_of_sizes.cache_clear()
+    cli._profile_of_text.cache_clear()
 
 
 class TestCheck:
@@ -258,7 +265,33 @@ class TestCount:
         assert first == run(capsys, *argv)
         want = factorial(35) * factorial(30) ** 35 * factorial(63) * factorial(36) ** 63
         assert first[0] == 0 and str(want) in first[1]
-        assert cli._decimal.cache_info().maxsize == CACHE_SIZE
+
+    def test_text_is_written_once_per_profile_and_set(self, capsys, monkeypatch):
+        # the profile's memo keeps the text, shared by every spelling of the profile
+        cold_memos()
+        written = []
+        write = counting._int_text
+        monkeypatch.setattr(counting, "_int_text", lambda n: written.append(n) or write(n))
+        for how in (("--profile", "2:2"), ("--profile", "2:2"), ("-p", "0,1|2,3")):
+            assert run(capsys, "count", *how, "--set", "T") == (0, "64\n", "")
+        assert written == [64]
+
+    @pytest.mark.parametrize(
+        "set_name, profile, guard",
+        [
+            *((name, "1:5,2:5", "1") for name in counting.COUNTS),
+            # past the digit charge of 1216, short of the 6560 Sigma count states
+            ("Sigma", ",".join(f"{size}:2" for size in range(1, 9)), "2000"),
+        ],
+    )
+    def test_guard_is_checked_after_a_kept_text(self, capsys, set_name, profile, guard):
+        # the cold refusal first, then the same after the text is kept
+        cold_memos()
+        argv = ("count", "--profile", profile, "--set", set_name)
+        refused = run(capsys, *argv, "--guard", guard)
+        assert refused[0] == 3 and refused[2].startswith("error: ")
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--guard", guard) == refused
 
     def test_json_uses_decimal_strings(self, capsys):
         _, out, _ = run(capsys, "count", "-p", "0,1|2", "--set", "T", "--format", "json")
@@ -362,6 +395,21 @@ class TestEnumerate:
         code, _, err = run(capsys, *argv, "--strategy", "brute")
         assert code == 3
         assert "exceeds guard" in err
+
+    def test_e_t_prefix_is_charged_the_t_members_it_draws(self, capsys):
+        # the fourth idempotent, which marks the truncation, is T's 71st member
+        argv = ["enumerate", "-p", "0|1|2|3|4|5|6|7|8", "--set", "E-T", "--limit", "3"]
+        assert run(capsys, *argv, "--guard", "71") == (
+            0,
+            "0,0,0,0,0,0,0,0,0\n0,0,0,0,0,0,0,0,8\n0,0,0,0,0,0,0,7,0\n# total: 3 (truncated)\n",
+            "",
+        )
+        assert run(capsys, *argv, "--guard", "70") == (
+            3,
+            "",
+            "error: preserving maps needs 71 items, exceeds guard 70; "
+            "raise the guard or use a counting formula instead\n",
+        )
 
 
 def _singleton_prefixes(n):
@@ -779,9 +827,9 @@ class TestUsageErrors:
         assert "unrecognized arguments: --limit 3" in capsys.readouterr().err
 
 
-def _choices(command):
-    """The choices of one subcommand's --set option, as the parser holds them."""
-    (action,) = [a for a in cli._build_parser().plain[command][0].values() if a.dest == "set"]
+def _choices(command, dest="set"):
+    """The choices of one subcommand's option, --set by default, as the parser holds them."""
+    (action,) = [a for a in cli._build_parser().plain[command][0].values() if a.dest == dest]
     return list(action.choices)
 
 
@@ -792,6 +840,10 @@ class TestSetTable:
 
     def test_enumerate_offers_every_set_in_table_order(self):
         assert _choices("enumerate") == list(cli.SETS) == ["T", "Sigma", "S", "E-Sigma", "E-T"]
+
+    def test_enumerate_offers_the_library_strategies(self):
+        # a literal of the CLI's own, so that check never runs enumeration
+        assert _choices("enumerate", "strategy") == list(enumeration.STRATEGIES)
 
     def test_count_rejects_a_set_without_a_formula(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -1295,7 +1347,6 @@ class TestCountDigitLimit:
         # |E(Sigma)| on one block of 3 million points has 15221823 digits;
         # its size is read from the largest terms of the sum, not all of them
         monkeypatch.setattr(counting, "_count_sigma_idempotents", self.refuse)
-        counting._log10_idempotent_count.cache_clear()
         argv = ("count", "--profile", "3000000:1", "--set", "E-Sigma", "--guard", "1")
         assert run(capsys, *argv) == (
             3,

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from partmaps import verification
+from partmaps import counting
 
 CENSUS = Path(__file__).resolve().parent.parent / "scripts" / "census.py"
 
@@ -36,7 +36,7 @@ class TestCensusScript:
     def test_check_exits_one_on_a_failed_law(self, monkeypatch, capsys):
         census = load_census()
         monkeypatch.setattr(sys, "argv", ["census.py", "--n", "2", "--check"])
-        monkeypatch.setattr(verification, "count_units", lambda profile: 0)
+        monkeypatch.setattr(counting, "count_units", lambda profile: 0)
         assert census.main() == 1
         out = capsys.readouterr().out
         assert "[FAIL] cardinality-formulas-vs-enumeration: 10 cases, 2 failures" in out
