@@ -19,6 +19,10 @@ milliseconds, are medians of the repetitions except the first:
 * ``count_sigma_ms``: ``count --profile 2:30,3:30 --set Sigma``;
 * ``count_big_ms``: ``count --profile 3:5914 --set T``, an answer of about
   30 800 digits, printed again on every repetition;
+* ``count_profile_ms``: ``count --profile 2:2 --set S``, the same profile
+  text on every repetition;
+* ``count_partition_ms``: ``count -p 0,1|2,3 --set S``, the same partition
+  text on every repetition;
 * ``enumerate_s_ms``: ``enumerate --set S --limit 3`` on 8 singletons;
 * ``quotient7_ms``: ``quotient`` on 7 singletons (5040 classes);
 * ``quotient7_mixed_ms``: ``quotient`` on ``0|1,2|3|4,5,6|7|8,9|10``, seven
@@ -86,6 +90,8 @@ CALLS = [(f"check_{pred.replace('-', '_')}_ms", CHECK + [pred], 101) for pred in
 CALLS += [
     ("count_sigma_ms", ["count", "--profile", "2:30,3:30", "--set", "Sigma"], 101),
     ("count_big_ms", ["count", "--profile", "3:5914", "--set", "T"], 101),
+    ("count_profile_ms", ["count", "--profile", "2:2", "--set", "S"], 101),
+    ("count_partition_ms", ["count", "-p", "0,1|2,3", "--set", "S"], 101),
     ("enumerate_s_ms", ["enumerate", "-p", "|".join(map(str, range(8))), "--set", "S",
                         "--limit", "3"], 101),
     ("quotient7_ms", ["quotient", "-p", "|".join(map(str, range(7)))], 11),
@@ -130,6 +136,8 @@ METRICS = (
     *(f"check_{pred.replace('-', '_')}_ms" for pred in PREDICATES),
     "count_sigma_ms",
     "count_big_ms",
+    "count_profile_ms",
+    "count_partition_ms",
     "enumerate_s_ms",
     "quotient7_ms",
     "quotient7_mixed_ms",

@@ -162,13 +162,15 @@ def _parse_profile(text: str) -> PartitionProfile:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _profile_of_text(text: str) -> PartitionProfile:
-    """``profile_of(parse_partition(text))``, kept by text for ``count -p``.
+def _count_profile(partition: str | None, profile: str | None) -> PartitionProfile:
+    """The profile ``count`` reads from its ``-p`` or ``--profile`` text, kept by text.
 
-    A partition counted again costs a lookup, like its profile's counts;
-    an error is raised by ``parse_partition`` and is not kept.
+    A text counted again costs a lookup and finds the profile's memo with
+    its counts; an error is raised by the parser and is not kept.
     """
-    return profile_of(parse_partition(text))
+    if partition is not None:
+        return profile_of(parse_partition(partition))
+    return _parse_profile(profile)
 
 
 def _int_writer(bound: int) -> Callable[[int], str]:
@@ -181,10 +183,7 @@ def _int_writer(bound: int) -> Callable[[int], str]:
 def cmd_count(args: argparse.Namespace) -> int:
     if (args.partition is None) == (args.profile is None):
         raise ParseError("give exactly one of -p/--partition and --profile")
-    if args.partition is not None:
-        profile = _profile_of_text(args.partition)
-    else:
-        profile = _parse_profile(args.profile)
+    profile = _count_profile(args.partition, args.profile)
     # a set without a count formula is rejected by the parser
     text = counting._count_text(profile, args.set, args.guard)
     if args.format == "json":

@@ -41,9 +41,9 @@ from typing import Iterator
 
 DEFAULT_GUARD = 10**7
 
-# answers kept by each per-profile cache (``profile_of`` and the profiles'
-# memos of their counts and count texts); one entry per profile, and n <= 14
-# has only 135 profiles
+# entries kept by each bounded cache: the profiles ``profile_of`` keeps by
+# block sizes and ``count`` keeps by text, each with its memo of counts and
+# count texts, and ``enumeration``'s kernels; n <= 14 has only 135 profiles
 CACHE_SIZE = 1024
 
 # ints of fewer bits than this have fewer decimal digits than the smallest
@@ -60,7 +60,7 @@ class GuardExceededError(RuntimeError):
 
     def __init__(self, what: str, required: int, guard: int):
         super().__init__(
-            f"{what} needs {required} items, exceeds guard {guard}; "
+            f"{what} needs {_int_text(required)} items, exceeds guard {_int_text(guard)}; "
             f"raise the guard or use a counting formula instead"
         )
         self.what = what
@@ -178,13 +178,13 @@ class PartitionProfile:
     ``entries`` is a tuple of (size, multiplicity) pairs of ``int``; the
     constructor sorts by size and rejects repeated sizes.
 
-    Each profile also holds a memo, a dict in which ``counting`` keeps the
-    profile's counts and guard charges.  Equal profiles share one memo,
-    handed out by ``_profile_memo`` for the last ``CACHE_SIZE`` distinct
-    entries, so a count is computed once however many partitions or texts
-    the profile is built from.  The memo is not a field: it takes no part
-    in equality, hashing or repr, and a pickled or copied profile
-    is rebuilt from its entries and shares the memo of its equals.
+    Each profile also owns a memo, a dict in which ``counting`` keeps the
+    profile's counts, guard charges and count texts; it starts empty and
+    lives as long as the profile.  Sharing is decided by the caches that
+    hand out profiles: ``profile_of`` keeps one profile per block sizes,
+    so a sweep counts each profile once.  The memo is not a field: it
+    takes no part in equality, hashing or repr, and a pickled or copied
+    profile is rebuilt from its entries with an empty memo.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -224,7 +224,7 @@ class PartitionProfile:
                 raise ValueError(f"block size {s} must be positive")
             if c < 1:
                 raise ValueError(f"multiplicity {c} of size {s} must be positive")
-        object.__setattr__(self, "_memo", _profile_memo(entries))
+        object.__setattr__(self, "_memo", {})
 
     def __reduce__(self):
         return PartitionProfile, (self.entries,)
@@ -422,16 +422,11 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
 def profile_of(p: SetPartition) -> PartitionProfile:
     """Block sizes of ``p`` with multiplicities.
 
-    Partitions with the same block sizes may get the same (immutable)
-    profile object.
+    Partitions with the same block sizes get the same (immutable) profile
+    object, and so share its memo, while the last ``CACHE_SIZE`` distinct
+    block sizes are kept.
     """
     return _profile_of_sizes(tuple(sorted(map(len, p.blocks))))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _profile_memo(entries: tuple[tuple[int, int], ...]) -> dict:
-    """The memo shared by every profile with these (valid, sorted) entries."""
-    return {}
 
 
 @lru_cache(maxsize=CACHE_SIZE)

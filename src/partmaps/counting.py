@@ -10,14 +10,13 @@ without building it, so a caller can tell in advance how long it is.
 
 Every count except the direct Sigma form depends only on the profile, so
 each is computed by a private kernel on ``profile.entries`` and kept in the
-profile's memo, one dict shared by all equal profiles (see
-``PartitionProfile``; the last ``CACHE_SIZE`` distinct profiles keep
-theirs): a sweep over all partitions of n evaluates each formula once per
-profile, not once per partition, and a repeated count costs one dict read.
-The memo is the one home of a count, its guard charges and the text that
-``count`` prints; every guard is checked on every call, so a kept answer
-never skips a guard.  Every caller counts a set through its row of
-:data:`COUNTS`, so a new count is a kernel and one row.
+memo the profile owns (see ``PartitionProfile``).  ``profile_of`` hands out
+one profile per block sizes, so a sweep over all partitions of n evaluates
+each formula once per profile, not once per partition, and a repeated count
+costs one dict read.  The memo is the one home of a count, its guard
+charges and the text that ``count`` prints; every guard is checked on every
+call, so a kept answer never skips a guard.  Every caller counts a set
+through its row of :data:`COUNTS`, so a new count is a kernel and one row.
 """
 
 from __future__ import annotations
@@ -230,21 +229,22 @@ def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
     """Charge ``guard`` with a bound on the work of counting and writing a count.
 
     A set is charged its answer's decimal digits, read from ``log10_count``.
-    Sigma, with no float size, is charged m times the digits of its base T's
-    count, which bounds its own: the grouped count does m rounds of
-    multiply-adds on numbers that long.  The charge is kept in the
-    profile's memo under its guard text, and checked on every call.
+    A count in ``_ROUNDS`` takes rounds of exact arithmetic on numbers as
+    long as a count, and is charged the rounds times the digits.  Sigma,
+    with no float size, reads the digits of its base T's count, which bound
+    its own.  The charge is kept in the profile's memo under its guard
+    text, and checked on every call.
     """
-    log10 = COUNTS[set_name][1]
-    what = f"{set_name} count digits" if log10 is not None else f"{set_name} count digit rounds"
+    rounds = _ROUNDS.get(set_name)
+    what = f"{set_name} count digits" if rounds is None else f"{set_name} count digit rounds"
     memo = profile._memo
     try:
         required = memo[what]
     except KeyError:
-        if log10 is not None:
-            required = int(log10(profile.entries)) + 1
-        else:
-            required = profile.m * (int(log10_count(profile, SETS[set_name][0])) + 1)
+        log10 = COUNTS[set_name][1] or COUNTS[SETS[set_name][0]][1]
+        required = int(log10(profile.entries)) + 1
+        if rounds is not None:
+            required *= rounds(profile.entries)
         memo[what] = required
     check_guard(required, guard, what)
 
@@ -269,4 +269,13 @@ COUNTS = {
     "Sigma": (lambda profile, guard: count_sigma_grouped(profile, guard), None),
     "S": (lambda profile, guard: count_units(profile), _log10_units),
     "E-Sigma": (lambda profile, guard: count_sigma_idempotents(profile), _log10_sigma_idempotents),
+}
+
+# name -> rounds(entries) for each count whose kernel makes rounds of exact
+# arithmetic on numbers no longer than its charged digits: the grouped
+# Sigma count places m blocks, and E-Sigma's ``idempotent_count(s)`` sums
+# s terms for each block size s, the largest size the most
+_ROUNDS = {
+    "Sigma": lambda entries: sum(mult for _, mult in entries),
+    "E-Sigma": lambda entries: entries[-1][0],
 }

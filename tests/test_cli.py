@@ -32,7 +32,13 @@ from partmaps.core import (
     parse_transformation,
     profile_of,
 )
-from partmaps.counting import count_sigma_grouped, count_sigma_idempotents, count_t, count_units
+from partmaps.counting import (
+    count_sigma_grouped,
+    count_sigma_idempotents,
+    count_t,
+    count_units,
+    idempotent_count,
+)
 from partmaps.enumeration import ChiClass, chi_classes
 from partmaps.membership import NotPreservingError, character, in_sigma, preserves
 from strategies import shuffled_text
@@ -42,13 +48,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def cold_memos():
-    """Drop every kept profile, so that each profile built next has an empty memo."""
-    core._profile_memo.cache_clear()
-    core._profile_of_sizes.cache_clear()
-    cli._profile_of_text.cache_clear()
 
 
 class TestCheck:
@@ -266,15 +265,15 @@ class TestCount:
         want = factorial(35) * factorial(30) ** 35 * factorial(63) * factorial(36) ** 63
         assert first[0] == 0 and str(want) in first[1]
 
-    def test_text_is_written_once_per_profile_and_set(self, capsys, monkeypatch):
-        # the profile's memo keeps the text, shared by every spelling of the profile
-        cold_memos()
+    def test_text_is_written_once_per_profile_and_set(self, capsys, monkeypatch, cold_memos):
+        # the profile's memo keeps the text; count keeps one profile per text,
+        # and -p reads profile_of's
         written = []
         write = counting._int_text
         monkeypatch.setattr(counting, "_int_text", lambda n: written.append(n) or write(n))
-        for how in (("--profile", "2:2"), ("--profile", "2:2"), ("-p", "0,1|2,3")):
+        for how in [("--profile", "2:2")] * 2 + [("-p", "0,1|2,3"), ("-p", "2,3|0,1")]:
             assert run(capsys, "count", *how, "--set", "T") == (0, "64\n", "")
-        assert written == [64]
+        assert written == [64, 64]
 
     @pytest.mark.parametrize(
         "set_name, profile, guard",
@@ -284,9 +283,10 @@ class TestCount:
             ("Sigma", ",".join(f"{size}:2" for size in range(1, 9)), "2000"),
         ],
     )
-    def test_guard_is_checked_after_a_kept_text(self, capsys, set_name, profile, guard):
+    def test_guard_is_checked_after_a_kept_text(
+        self, capsys, cold_memos, set_name, profile, guard
+    ):
         # the cold refusal first, then the same after the text is kept
-        cold_memos()
         argv = ("count", "--profile", profile, "--set", set_name)
         refused = run(capsys, *argv, "--guard", guard)
         assert refused[0] == 3 and refused[2].startswith("error: ")
@@ -300,8 +300,8 @@ class TestCount:
         assert payload["profile"] == "1:1,2:1"
 
 
-class TestProfileOfText:
-    # the profile count -p reads from partition text, kept by text
+class TestCountProfile:
+    # the profile count reads from -p or --profile text, kept by text
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_partition(self, n):
@@ -309,11 +309,25 @@ class TestProfileOfText:
         for p in iter_partitions(n):
             text = shuffled_text(p.blocks, rng)
             for _ in range(2):  # computed, then read back
-                assert cli._profile_of_text(text) is profile_of(parse_partition(text))
+                assert cli._count_profile(text, None) is profile_of(parse_partition(text))
 
     @pytest.mark.parametrize("text", [" 0 , 1 | 2 ", "+0,1|2", "2|1,0", "0"])
     def test_spellings_int_accepts(self, text):
-        assert cli._profile_of_text(text) is profile_of(parse_partition(text))
+        assert cli._count_profile(text, None) is profile_of(parse_partition(text))
+
+    @pytest.mark.parametrize(
+        "how, parser, text",
+        [("-p", "parse_partition", "0,1|2,3"), ("--profile", "_parse_profile", "2:2")],
+    )
+    def test_repeated_text_is_parsed_once(
+        self, capsys, monkeypatch, cold_memos, how, parser, text
+    ):
+        calls = []
+        parse = getattr(cli, parser)
+        monkeypatch.setattr(cli, parser, lambda text: calls.append(text) or parse(text))
+        for _ in range(3):
+            assert run(capsys, "count", how, text, "--set", "S") == (0, "8\n", "")
+        assert calls == [text]
 
     @pytest.mark.parametrize(
         "case, blocks, text, message",
@@ -322,10 +336,23 @@ class TestProfileOfText:
     def test_bad_text_raises_the_parser_error(self, case, blocks, text, message):
         for _ in range(2):  # an error is not kept
             with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-                cli._profile_of_text(text)
+                cli._count_profile(text, None)
+
+    @pytest.mark.parametrize(
+        "how, parser, text",
+        [("-p", "parse_partition", "0,1|1"), ("--profile", "_parse_profile", "2:0")],
+    )
+    def test_bad_text_is_parsed_on_every_call(self, capsys, monkeypatch, how, parser, text):
+        calls = []
+        parse = getattr(cli, parser)
+        monkeypatch.setattr(cli, parser, lambda text: calls.append(text) or parse(text))
+        first = run(capsys, "count", how, text, "--set", "T")
+        assert first[0] == 2 and first[2].startswith("error: ")
+        assert run(capsys, "count", how, text, "--set", "T") == first
+        assert calls == [text, text]
 
     def test_cache_is_bounded(self):
-        assert cli._profile_of_text.cache_info().maxsize == CACHE_SIZE
+        assert cli._count_profile.cache_info().maxsize == CACHE_SIZE
 
 
 class TestEnumerate:
@@ -760,6 +787,36 @@ class TestGuardArgument:
         # 2:1 has |T| = 4, one digit, all a guard of 1 covers
         code, out, _ = run(capsys, "count", "--profile", "2:1", "--set", "T", "--guard", "1")
         assert (code, out) == (0, "4\n")
+
+
+class TestLongGuardRefusal:
+    # a refusal writes what it needs in full, past str()'s 4300 digits
+    SINGLETONS = "|".join(map(str, range(2000)))
+
+    @pytest.mark.parametrize(
+        "argv, what, required",
+        [
+            (["quotient", "-p", SINGLETONS], "character classes", factorial(2000)),
+            (
+                ["enumerate", "-p", SINGLETONS, "--set", "T", "--strategy", "brute"],
+                "brute-force candidate maps",
+                2000**2000,
+            ),
+            (
+                ["verify", "--n-max", "4000"],
+                "brute-force candidate maps at the largest ground set",
+                4000**4000,
+            ),
+        ],
+        ids=["quotient", "enumerate", "verify"],
+    )
+    def test_exits_3_with_every_digit(self, capsys, argv, what, required):
+        assert run(capsys, *argv) == (
+            3,
+            "",
+            f"error: {what} needs {exact_str(required)} items, exceeds guard 10000000; "
+            "raise the guard or use a counting formula instead\n",
+        )
 
 
 class TestBadInputParity:
@@ -1344,16 +1401,40 @@ class TestCountDigitLimit:
         assert "Sigma count digit rounds needs 50000100000 items" in err
 
     def test_e_sigma_fails_before_its_count(self, capsys, monkeypatch):
-        # |E(Sigma)| on one block of 3 million points has 15221823 digits;
-        # its size is read from the largest terms of the sum, not all of them
+        # |E(Sigma)| on one block of 3 million points has 15221824 digits,
+        # charged 3 million times; its size is read from the largest terms
+        # of the sum, not all of them
         monkeypatch.setattr(counting, "_count_sigma_idempotents", self.refuse)
         argv = ("count", "--profile", "3000000:1", "--set", "E-Sigma", "--guard", "1")
         assert run(capsys, *argv) == (
             3,
             "",
-            "error: E-Sigma count digits needs 15221824 items, exceeds guard 1; "
+            "error: E-Sigma count digit rounds needs 45665472000000 items, exceeds guard 1; "
             "raise the guard or use a counting formula instead\n",
         )
+
+    def test_e_sigma_work_is_charged_under_the_default_guard(self, capsys, monkeypatch):
+        # idempotent_count(200000) sums 200000 terms of up to 803064 digits
+        monkeypatch.setattr(counting, "_count_sigma_idempotents", self.refuse)
+        code, out, err = run(capsys, "count", "--profile", "200000:1", "--set", "E-Sigma")
+        assert (code, out) == (3, "")
+        assert "E-Sigma count digit rounds needs 160612800000 items" in err
+
+    def test_e_sigma_charge_at_its_edge(self, capsys):
+        # 2000 rounds on the 4602 digits of idempotent_count(2000), within the
+        # default guard of 10**7
+        argv = ("count", "--profile", "2000:1", "--set", "E-Sigma")
+        assert run(capsys, *argv) == (0, f"{exact_str(idempotent_count(2000))}\n", "")
+        code, out, err = run(capsys, *argv, "--guard", "9203999")
+        assert (code, out) == (3, "")
+        assert "E-Sigma count digit rounds needs 9204000 items" in err
+        assert run(capsys, *argv, "--guard", "9204000")[0] == 0
+
+    @pytest.mark.parametrize("profile", ["11:97,12:100", "6:55,12:97", "1:80,11:82"])
+    def test_e_sigma_on_blocks_of_up_to_12_points_answers(self, capsys, profile):
+        # the heaviest E-Sigma counts of the perfbench queries mix
+        want = exact_str(count_sigma_idempotents(cli._parse_profile(profile)))
+        assert run(capsys, "count", "--profile", profile, "--set", "E-Sigma") == (0, want + "\n", "")
 
     def test_sigma_on_singletons_on_both_sides_of_the_limit(self, capsys):
         # |Sigma| on m singletons is m!: 1558! has 4300 digits, 1559! has 4303

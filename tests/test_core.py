@@ -26,7 +26,6 @@ from partmaps.core import (
     iter_partitions,
     parse_partition,
     parse_transformation,
-    _profile_memo,
     _profile_of_sizes,
     _trusted_character,
     profile_of,
@@ -287,12 +286,11 @@ class TestProfile:
         with pytest.raises(ValueError, match=re.escape(want)):
             PartitionProfile(entries)
 
-    def test_equal_profiles_share_one_memo_outside_the_fields(self):
-        # from a cold start: a profile kept by profile_of outlives its entries'
-        # turn in the memo cache when more than CACHE_SIZE others are built
-        _profile_memo.cache_clear()
-        _profile_of_sizes.cache_clear()
+    def test_every_profile_starts_with_its_own_empty_memo(self, cold_memos):
+        # the memo lives outside the fields, and no two profiles share one
+        # unless a cache hands out the same profile
         prof = profile_of(SetPartition(((0, 1), (2,), (3, 4))))
+        prof._memo["T"] = 405
         twins = [
             PartitionProfile(((2, 2), (1, 1))),
             pickle.loads(pickle.dumps(prof)),
@@ -301,12 +299,12 @@ class TestProfile:
         ]
         for twin in twins:
             assert type(twin) is PartitionProfile
-            assert twin == prof and hash(twin) == hash(prof)
-            assert twin._memo is prof._memo
+            assert twin == prof and hash(twin) == hash(prof) and repr(twin) == repr(prof)
+            assert twin._memo == {} and twin._memo is not prof._memo
+        assert len({id(twin._memo) for twin in twins}) == len(twins)
         assert [f.name for f in dataclasses.fields(prof)] == ["entries"]
         assert repr(prof) == "PartitionProfile(entries=((1, 1), (2, 2)))"
-        assert PartitionProfile(((1, 2),))._memo is not prof._memo
-        assert _profile_memo.cache_info().maxsize == CACHE_SIZE
+        assert profile_of(SetPartition(((0,), (1, 2), (3, 4)))) is prof
 
     @given(partitions())
     def test_invariant_under_block_reordering(self, p):

@@ -104,6 +104,16 @@ class TestCountSigma:
         with pytest.raises(GuardExceededError, match="block permutations"):
             count_sigma_direct(p, guard=100)
 
+    def test_direct_guard_past_the_digit_limit(self):
+        # 2000! has 5736 digits, more than str() writes under its default limit
+        p = SetPartition(tuple((i,) for i in range(2000)))
+        with pytest.raises(GuardExceededError) as exc:
+            count_sigma_direct(p)
+        assert exc.value.required == factorial(2000)
+        want = core._int_text(factorial(2000))
+        assert len(want) == 5736
+        assert str(exc.value).startswith(f"block permutations needs {want} items, ")
+
     def test_grouped_guard(self):
         prof = profile((1, 5), (2, 5))
         with pytest.raises(GuardExceededError, match="Sigma count states"):
@@ -289,12 +299,9 @@ FORMULAS = {
 
 
 @pytest.fixture
-def formula_calls(monkeypatch):
+def formula_calls(monkeypatch, cold_memos):
     """Calls of each formula by its name, counted from a cold start: every
-    profile built from here on has an empty memo."""
-    core._profile_memo.cache_clear()
-    core._profile_of_sizes.cache_clear()
-    cli._profile_of_text.cache_clear()
+    profile handed out from here on has an empty memo."""
     calls = Counter()
     for name in FORMULAS.values():
 
@@ -322,17 +329,30 @@ class TestPerProfileCaches:
             assert profile_of(p) == prof
             assert count_sigma_grouped(prof) == count_sigma_direct(p)
 
-    def test_equal_profiles_run_each_formula_once(self, formula_calls, capsys):
+    def test_each_cache_shares_its_profiles_memo(self, formula_calls, capsys):
+        # profile_of hands out one profile per block sizes, and count one per
+        # text; a profile built from other text starts with its own memo
         p = SetPartition(((0, 5), (1,), (2, 3, 4, 6), (7,)))
+        q = SetPartition(((0,), (1, 2, 3, 4), (5,), (6, 7)))
         first = profile_of(p)
         answers = [public(first) for public in FORMULAS]
-        for prof in (PartitionProfile(((4, 1), (1, 2), (2, 1))), profile_of(p)):
-            assert [public(prof) for public in FORMULAS] == answers
+        assert [public(profile_of(q)) for public in FORMULAS] == answers
+        assert formula_calls == Counter(FORMULAS.values())
         for set_name, (count, _) in counting.COUNTS.items():
             want = f"{count(first, DEFAULT_GUARD)}\n"
-            for how in (("--profile", "2:1,1:2,4:1"), ("-p", str(p))):
+            for how in [("-p", str(p)), ("-p", str(q))] + [("--profile", "2:1,1:2,4:1")] * 2:
                 assert cli.main(["count", *how, "--set", set_name]) == 0
                 assert capsys.readouterr().out == want
+        assert formula_calls == {name: 2 for name in FORMULAS.values()}
+
+    def test_kept_profile_outlives_direct_builds(self, formula_calls):
+        # more direct builds than any cache keeps leave profile_of's profile,
+        # and its memo, as they were
+        p = SetPartition(((0, 1), (2,), (3, 4)))
+        answers = [public(profile_of(p)) for public in FORMULAS]
+        for size in range(1, CACHE_SIZE + 76):
+            assert PartitionProfile(((size, 1),))._memo == {}
+        assert [public(profile_of(p)) for public in FORMULAS] == answers
         assert formula_calls == Counter(FORMULAS.values())
 
     def test_sweep_runs_each_formula_once_per_profile(self, formula_calls):
@@ -350,7 +370,7 @@ class TestPerProfileCaches:
         assert formula_calls["_count_sigma_grouped"] == 0
         count_sigma_grouped(prof)
         with pytest.raises(GuardExceededError) as warm:
-            count_sigma_grouped(profile((2, 5), (1, 5)), guard=34)
+            count_sigma_grouped(prof, guard=34)
         assert formula_calls["_count_sigma_grouped"] == 1
         assert str(warm.value) == str(cold.value)
         assert warm.value.required == cold.value.required == 6 * 6 - 1
@@ -369,7 +389,7 @@ class TestPerProfileCaches:
 
     def test_every_cache_is_bounded(self):
         assert CACHE_SIZE >= 1
-        assert core._profile_memo.cache_info().maxsize == CACHE_SIZE
+        assert cli._count_profile.cache_info().maxsize == CACHE_SIZE
         # no cache beside the memo
         assert not hasattr(counting._log10_idempotent_count, "cache_info")
         for name in FORMULAS.values():
