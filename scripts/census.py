@@ -46,7 +46,7 @@ def main():
     totals = [0] * len(COUNTS)
     for p in iter_partitions(args.n):
         profile = profile_of(p)
-        counts = [count(profile, DEFAULT_GUARD) for count, _ in COUNTS.values()]
+        counts = [count(profile, DEFAULT_GUARD) for count, _, _ in COUNTS.values()]
         if args.check:
             data = _census(p, DEFAULT_GUARD)
             for tally, law in laws:

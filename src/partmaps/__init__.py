@@ -47,7 +47,6 @@ _EXPORTS = {
         "NotPreservingError",
         "block_map_family",
         "character",
-        "character_injective",
         "in_sigma",
         "in_units",
         "is_e_star_preserving",

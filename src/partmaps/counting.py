@@ -5,8 +5,7 @@ The two Sigma counts are deliberately separate implementations: the direct
 form sums over all block permutations one by one, the grouped form is a
 dynamic programme over how many codomain blocks of each size class are
 still free.  Keeping the direct form naive lets the two validate each
-other.  :func:`log10_count` gives the size of a count in floating point
-without building it, so a caller can tell in advance how long it is.
+other.
 
 Every count except the direct Sigma form depends only on the profile, so
 each is computed by a private kernel on ``profile.entries`` and kept in the
@@ -16,7 +15,9 @@ each formula once per profile, not once per partition, and a repeated count
 costs one dict read.  The memo is the one home of a count, its guard
 charges and the text that ``count`` prints; every guard is checked on every
 call, so a kept answer never skips a guard.  Every caller counts a set
-through its row of :data:`COUNTS`, so a new count is a kernel and one row.
+through its row of :data:`COUNTS`, which also holds the float bound on the
+count's size and the rounds of its kernel that the guard charges, so a new
+count is a kernel and one row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from collections.abc import Iterable
 from math import comb, factorial, fsum, inf, lgamma, log, log10, prod
 
 from .core import DEFAULT_GUARD, PartitionProfile, SetPartition, _int_text, check_guard
-from .membership import SETS
 
 import itertools
 
@@ -165,20 +165,6 @@ def _log10_factorial(k: int) -> float:
     return lgamma(k + 1) / log(10)
 
 
-def log10_count(profile: PartitionProfile, set_name: str) -> float | None:
-    """log10 of the size of T, S or E(Sigma), from the closed forms above in
-    floating point, without building the integer; None for any other set.
-
-    The relative error is rounding only, far below 1e-9, so the value tells
-    how many decimal digits the count has except within a hair of a power of
-    ten.  It costs a few float operations per pair of size classes (for
-    E(Sigma), a few thousand per block size at most), however large the
-    count.
-    """
-    log10 = COUNTS.get(set_name, (None, None))[1]
-    return None if log10 is None else log10(profile.entries)
-
-
 def _log10_t(entries: tuple[tuple[int, int], ...]) -> float:
     return fsum(
         mult_i * _log10_sum(log10(mult_j) + size_i * log10(size_j) for size_j, mult_j in entries)
@@ -228,20 +214,17 @@ def _log10_idempotent_count(n: int) -> float:
 def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
     """Charge ``guard`` with a bound on the work of counting and writing a count.
 
-    A set is charged its answer's decimal digits, read from ``log10_count``.
-    A count in ``_ROUNDS`` takes rounds of exact arithmetic on numbers as
-    long as a count, and is charged the rounds times the digits.  Sigma,
-    with no float size, reads the digits of its base T's count, which bound
-    its own.  The charge is kept in the profile's memo under its guard
-    text, and checked on every call.
+    A set is charged the decimal digits of its row's ``log10`` bound, times
+    its row's rounds when it has any: such a count takes rounds of exact
+    arithmetic on numbers as long as the count.  The charge is kept in the
+    profile's memo under its guard text, and checked on every call.
     """
-    rounds = _ROUNDS.get(set_name)
+    _, log10, rounds = COUNTS[set_name]
     what = f"{set_name} count digits" if rounds is None else f"{set_name} count digit rounds"
     memo = profile._memo
     try:
         required = memo[what]
     except KeyError:
-        log10 = COUNTS[set_name][1] or COUNTS[SETS[set_name][0]][1]
         required = int(log10(profile.entries)) + 1
         if rounds is not None:
             required *= rounds(profile.entries)
@@ -261,21 +244,27 @@ def _count_text(profile: PartitionProfile, set_name: str, guard: int) -> str:
     return text
 
 
-# name -> (count(profile, guard), log10(entries) or None) for each set of
-# membership.SETS with a label.  Each count looks its function up when
-# called, so a wrapper put on the module name (a tracer's, say) sees the call
+# name -> (count(profile, guard), log10(entries), rounds(entries) or None)
+# for each set of membership.SETS with a label.  Each count looks its
+# function up when called, so a wrapper put on the module name (a tracer's,
+# say) sees the call.  ``log10`` is log10 of the count in floating point,
+# built from the closed form without the integer, to a relative error far
+# below 1e-9; Sigma, with no float form, has its base T's, which bounds it.
+# ``rounds`` is there when the kernel makes rounds of exact arithmetic on
+# numbers no longer than the count: the grouped Sigma count places m
+# blocks, and E-Sigma's ``idempotent_count(s)`` sums s terms for each block
+# size s, the largest size the most
 COUNTS = {
-    "T": (lambda profile, guard: count_t(profile), _log10_t),
-    "Sigma": (lambda profile, guard: count_sigma_grouped(profile, guard), None),
-    "S": (lambda profile, guard: count_units(profile), _log10_units),
-    "E-Sigma": (lambda profile, guard: count_sigma_idempotents(profile), _log10_sigma_idempotents),
-}
-
-# name -> rounds(entries) for each count whose kernel makes rounds of exact
-# arithmetic on numbers no longer than its charged digits: the grouped
-# Sigma count places m blocks, and E-Sigma's ``idempotent_count(s)`` sums
-# s terms for each block size s, the largest size the most
-_ROUNDS = {
-    "Sigma": lambda entries: sum(mult for _, mult in entries),
-    "E-Sigma": lambda entries: entries[-1][0],
+    "T": (lambda profile, guard: count_t(profile), _log10_t, None),
+    "Sigma": (
+        lambda profile, guard: count_sigma_grouped(profile, guard),
+        _log10_t,
+        lambda entries: sum(mult for _, mult in entries),
+    ),
+    "S": (lambda profile, guard: count_units(profile), _log10_units, None),
+    "E-Sigma": (
+        lambda profile, guard: count_sigma_idempotents(profile),
+        _log10_sigma_idempotents,
+        lambda entries: entries[-1][0],
+    ),
 }

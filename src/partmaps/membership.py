@@ -150,11 +150,6 @@ def is_e_star_preserving(f: Transformation, p: SetPartition) -> bool:
     return True
 
 
-def character_injective(f: Transformation, p: SetPartition) -> bool:
-    """True when the induced block-index map has no repeated values."""
-    return character(f, p).is_injective()
-
-
 def in_units(f: Transformation, p: SetPartition) -> bool:
     """True when f is invertible within the preserving maps.
 

@@ -24,7 +24,6 @@ from partmaps.counting import (
     count_t,
     count_units,
     idempotent_count,
-    log10_count,
 )
 from strategies import partitions
 
@@ -200,13 +199,19 @@ class TestGroupedClosedForms:
         assert exc.value.required == 6 * 6 - 1
 
 
-class TestLog10Count:
-    EXACT = {"T": count_t, "S": count_units, "E-Sigma": count_sigma_idempotents}
+class TestRowLog10:
+    # a row's log10 is its count's size, read without the integer; Sigma's
+    # is its base T's, a bound (equal on one block) that its digit charge
+    # rests on
 
     def check(self, prof):
-        for name, exact in self.EXACT.items():
-            want = log10(exact(prof))
-            assert abs(log10_count(prof, name) - want) <= 1e-9 * max(1.0, want)
+        for name, (count, row_log10, _) in counting.COUNTS.items():
+            got, want = row_log10(prof.entries), log10(count(prof, DEFAULT_GUARD))
+            slack = 1e-9 * max(1.0, want)
+            if name == "Sigma":
+                assert got >= want - slack
+            else:
+                assert abs(got - want) <= slack
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_profile_to_n12(self, n):
@@ -220,9 +225,29 @@ class TestLog10Count:
     def test_counts_with_thousands_of_digits(self, entries):
         self.check(profile(*entries))
 
-    def test_no_estimate_for_other_sets(self):
-        assert log10_count(profile((2, 2)), "Sigma") is None
-        assert log10_count(profile((2, 2)), "E-T") is None
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+    def test_sigma_bound_is_its_count_on_one_block(self, k):
+        got = counting.COUNTS["Sigma"][1](((k, 1),))
+        want = log10(count_sigma_grouped(profile((k, 1))))
+        assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+    # (the exact count whose digits are charged, rounds) on 3:40,5:2, m = 42;
+    # Sigma is charged its base T's digits
+    CHARGES = {
+        "T": (lambda prof: count_t(prof), 1),
+        "Sigma": (lambda prof: count_t(prof), 42),
+        "S": (lambda prof: count_units(prof), 1),
+        "E-Sigma": (lambda prof: count_sigma_idempotents(prof), 5),
+    }
+
+    @pytest.mark.parametrize("set_name", list(counting.COUNTS))
+    def test_charge_is_the_rows_digits_times_its_rounds(self, set_name):
+        exact, rounds = self.CHARGES[set_name]
+        with pytest.raises(GuardExceededError) as exc:
+            counting._charge_count(profile((3, 40), (5, 2)), set_name, 1)
+        assert exc.value.required == len(str(exact(profile((3, 40), (5, 2))))) * rounds
+        unit = "count digits" if rounds == 1 else "count digit rounds"
+        assert exc.value.what == f"{set_name} {unit}"
 
 
 def full_log10_idempotent_count(n):
@@ -338,7 +363,7 @@ class TestPerProfileCaches:
         answers = [public(first) for public in FORMULAS]
         assert [public(profile_of(q)) for public in FORMULAS] == answers
         assert formula_calls == Counter(FORMULAS.values())
-        for set_name, (count, _) in counting.COUNTS.items():
+        for set_name, (count, _, _) in counting.COUNTS.items():
             want = f"{count(first, DEFAULT_GUARD)}\n"
             for how in [("-p", str(p)), ("-p", str(q))] + [("--profile", "2:1,1:2,4:1")] * 2:
                 assert cli.main(["count", *how, "--set", set_name]) == 0

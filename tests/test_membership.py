@@ -18,7 +18,6 @@ from partmaps.membership import (
     NotPreservingError,
     block_map_family,
     character,
-    character_injective,
     in_sigma,
     in_units,
     is_e_star_preserving,
@@ -65,7 +64,6 @@ class TestPreserves:
             sigma_via_character,
             sigma_via_topology,
             is_e_star_preserving,
-            character_injective,
             in_units,
             sigma_idempotent_via_blocks,
         ],
@@ -189,17 +187,6 @@ class TestEStarPreserving:
         assert is_e_star_preserving(Transformation.identity(3), P3)
 
 
-class TestCharacterInjective:
-    def test_block_swap(self):
-        assert character_injective(t(2, 2, 0), P3)
-
-    def test_collapse(self):
-        assert not character_injective(t(0, 0, 0), P3)
-
-    def test_permutation(self):
-        assert character_injective(t(1, 0, 2), P3)
-
-
 class TestInUnits:
     def test_block_preserving_permutation(self):
         assert in_units(t(1, 0, 2), P3)
@@ -263,7 +250,6 @@ class TestAgainstOracles:
                 assert len(total_views) == 1
                 if preserves(f, p):
                     assert sigma_via_character(f, p) == in_sigma(f, p)
-                    assert character_injective(f, p) == is_e_star_preserving(f, p)
                     assert character(f, p).images == oracles.o_character(images, blocks, table)
 
     def test_character_homomorphism_exhaustive_n3(self):
@@ -373,7 +359,6 @@ class TestProperties:
         p, f = case
         assert preserves(f, p)
         assert sigma_via_character(f, p) == in_sigma(f, p)
-        assert character_injective(f, p) == is_e_star_preserving(f, p)
 
     @given(partition_with_preserving_pair())
     def test_character_is_a_homomorphism(self, case):

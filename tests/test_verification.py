@@ -3,7 +3,7 @@
 import pytest
 
 from partmaps import verification
-from partmaps.core import CharacterMap
+from partmaps.core import DEFAULT_GUARD, CharacterMap, GuardExceededError
 from partmaps.verification import run_verification
 
 CASES_AT_3 = {
@@ -229,3 +229,16 @@ def test_each_law_and_the_census_are_timed():
 def test_guard_below_one_is_rejected(guard):
     with pytest.raises(ValueError, match="guard must be positive"):
         run_verification(1, guard=guard)
+
+
+@pytest.mark.parametrize(
+    "guard, n", [(1, 2), (4, 3), (27, 4), (3125, 6), (DEFAULT_GUARD, 8)]
+)
+def test_an_oversized_n_max_is_refused_at_the_first_n_past_the_guard(guard, n):
+    with pytest.raises(GuardExceededError) as exc:
+        run_verification(10**9, guard=guard)
+    assert (exc.value.what, exc.value.required, exc.value.guard) == (
+        f"brute-force candidate maps at n={n}",
+        n**n,
+        guard,
+    )
