@@ -30,8 +30,11 @@ milliseconds, are medians of the repetitions except the first:
 * ``quotient7_json_ms``: ``quotient --format json`` on 7 singletons;
 * ``chi_classes7_ms``: ``enumeration.chi_classes`` on 7 singletons alone.
 
-Three more metrics time the library's construction paths alone, in
-microseconds per object, as medians over 11 passes:
+Four more metrics time parsing and the library's construction paths
+alone, in microseconds per call, as medians over 11 passes:
+
+* ``parse_args_us``: ``cli._parse_args`` on the argvs of the timed
+  ``main`` calls above, all plain calls, 50 times over;
 
 * ``parse_partition_us``: ``parse_partition`` on the text of every
   partition with n <= 7 (1 082 texts);
@@ -123,6 +126,7 @@ def median_us(build, inputs):
         times.append(perf_counter() - start)
     return statistics.median(times) / len(inputs) * 1e6
 
+out["parse_args_us"] = median_us(cli._parse_args, [argv for _, argv, _ in CALLS] * 50)
 partitions = [q for n in range(1, 8) for q in iter_partitions(n)]
 maps = [",".join(map(str, f)) for n in range(1, 5) for f in product(range(n), repeat=n)]
 out["parse_partition_us"] = median_us(parse_partition, [str(q) for q in partitions])
@@ -143,6 +147,7 @@ METRICS = (
     "quotient7_mixed_ms",
     "quotient7_json_ms",
     "chi_classes7_ms",
+    "parse_args_us",
     "parse_partition_us",
     "set_partition_us",
     "parse_transformation_us",
@@ -158,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics=METRICS,
         benchmark=(
             "in-process cli.main calls, per-call medians, chi_classes on 7 blocks, "
-            "and the parsers and SetPartition per object"
+            "argv parsing per call, and the parsers and SetPartition per object"
         ),
         script="benchmarks/bench_cli.py",
     )

@@ -12,14 +12,14 @@ every integer the CLI prints; where that function is plain ``str()``, the
 two metrics of a size time the same thing.  One measurement lifts the
 interpreter's int-to-str digit limit in its own process, so that ``str()``
 writes every size, and times, in milliseconds, for random ints of about
-5 k, 30 k, 100 k and 300 k decimal digits:
+2 k, 5 k, 30 k, 100 k and 300 k decimal digits:
 
 * ``writer_<size>_ms``: the writer, median of the repetitions;
 * ``str_<size>_ms``: ``str()``, median of the repetitions.
 
-The repetitions fall with the size: 21, 9, 5 and 3.  One write of a
-short long int comes first, untimed, so that no size pays for importing
-``decimal``.  Every text the writer gives must equal ``str()``'s.
+The repetitions fall with the size: 21, 21, 9, 5 and 3.  One write of an
+int of about 8 k digits comes first, untimed, so that no size pays for
+importing ``decimal``.  Every text the writer gives must equal ``str()``'s.
 """
 
 from __future__ import annotations
@@ -27,7 +27,13 @@ from __future__ import annotations
 import paired
 
 # (label, decimal digits, repetitions)
-SIZES = (("5k", 5_000, 21), ("30k", 30_000, 9), ("100k", 100_000, 5), ("300k", 300_000, 3))
+SIZES = (
+    ("2k", 2_000, 21),
+    ("5k", 5_000, 21),
+    ("30k", 30_000, 9),
+    ("100k", 100_000, 5),
+    ("300k", 300_000, 3),
+)
 
 # runs inside the child interpreter; prints one JSON object
 MEASURE = """
@@ -50,7 +56,7 @@ def median_ms(fn, value, reps):
     (text,) = texts
     return statistics.median(times) * 1e3, text
 
-write(7 ** 5000)
+write(7 ** 10_000)
 out = {{"digits": {{}}}}
 for label, digits, reps in SIZES:
     value = random.Random(digits).randrange(10 ** (digits - 1), 10**digits)
@@ -73,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics=METRICS,
         benchmark=(
             "the CLI's integer writer against str() with the digit limit "
-            "lifted, on random ints of 5 k to 300 k decimal digits"
+            "lifted, on random ints of 2 k to 300 k decimal digits"
         ),
         script="benchmarks/bench_decimal.py",
     )

@@ -30,13 +30,13 @@ from . import counting, cycles, enumeration, verification
 from .core import (
     CACHE_SIZE,
     DEFAULT_GUARD,
-    _STR_BITS,
     CharacterMap,
     GuardExceededError,
     ParseError,
     PartitionProfile,
     SetPartition,
     _int_text,
+    _str_writes,
     check_guard,
     format_partition,
     format_transformation,
@@ -177,7 +177,7 @@ def _int_writer(bound: int) -> Callable[[int], str]:
     """The writer of ints no longer than ``bound``: ``str`` itself when
     ``_int_text`` would hand them all to it, so that many short ints are
     written with no Python call each."""
-    return str if bound.bit_length() < _STR_BITS else _int_text
+    return str if _str_writes(bound) else _int_text
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -425,7 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "find-partition", parents=[common], help="nontrivial partition preserved by a map"
     )
     p_find.add_argument("-f", "--map", required=True)
-    p_find.add_argument("-m", type=int, default=None, help="require exactly m blocks (full cycles)")
+    p_find.add_argument(
+        "-m", "--m", type=int, default=None, help="require exactly m blocks (full cycles)"
+    )
     p_find.add_argument(
         "--verify", action="store_true", help="re-check membership before printing"
     )
@@ -505,7 +507,10 @@ def _parse_plain(grammar, argv: list[str]) -> argparse.Namespace | None:
         values[action.dest] = value
     if not seen.issuperset(required):
         return None
-    return argparse.Namespace(command=argv[0], **values)
+    # one update, where Namespace(**values) would set each field in turn
+    args = argparse.Namespace()
+    vars(args).update(values, command=argv[0])
+    return args
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

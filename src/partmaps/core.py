@@ -50,6 +50,11 @@ CACHE_SIZE = 1024
 # limit CPython accepts for str(), since 2**3 < 10, so str() writes them all
 _STR_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
 
+# the int-to-str digit limit in force (0 when it is off, and before Python
+# 3.11, which has none), and the default that stands in for it when off
+_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_DEFAULT_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+
 
 class ParseError(ValueError):
     """Malformed partition or transformation text."""
@@ -484,12 +489,27 @@ def format_partition(p: SetPartition) -> str:
     return "|".join(",".join(str(x) for x in b) for b in p.blocks)
 
 
+def _str_writes(value: int) -> bool:
+    """Whether ``_int_text`` hands ``value`` to ``str()``: whether ``str()``
+    writes it under the current digit limit, or under the default limit
+    when the limit is off, past which ``str()`` is the slower writer.
+
+    ``top`` is log2(10**limit) rounded down, or one less, so an int of at
+    most ``top`` bits is short enough, one of more than ``top + 2`` bits
+    too long, and a power of ten settles the two lengths between.
+    """
+    limit = _str_digits() or _DEFAULT_STR_DIGITS
+    bits = value.bit_length()
+    top = limit * 3321928094887 // 10**12  # log2(10) = 3.3219280948873...
+    return bits <= top or (bits <= top + 2 and abs(value) < 10**limit)
+
+
 def _int_text(value: int) -> str:
     """``str(value)`` for an int of any length, in less than quadratic time.
 
-    Every integer the CLI prints is written here.  ``str()`` writes an
-    int of fewer than ``_STR_BITS`` bits; it refuses longer ones past
-    ``sys.get_int_max_str_digits()`` (4300 digits by default) because its
+    Every integer the CLI prints is written here.  ``str()`` writes every
+    int it accepts under ``sys.get_int_max_str_digits()`` (4300 digits by
+    default; see ``_str_writes``).  It refuses longer ones because its
     conversion takes time quadratic in the length.  A longer int is split
     at a power of two, high * 2**w + low, each half written the same way
     down to ``_STR_BITS`` bits, and the halves are joined in ``decimal``,
@@ -497,7 +517,7 @@ def _int_text(value: int) -> str:
     prints in linear time.  The limit is never lifted: it is one setting
     for the whole process.
     """
-    if value.bit_length() < _STR_BITS:
+    if _str_writes(value):
         return str(value)
     import decimal  # here, so that a call printing short ints never loads it
 

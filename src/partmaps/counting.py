@@ -13,11 +13,13 @@ memo the profile owns (see ``PartitionProfile``).  ``profile_of`` hands out
 one profile per block sizes, so a sweep over all partitions of n evaluates
 each formula once per profile, not once per partition, and a repeated count
 costs one dict read.  The memo is the one home of a count, its guard
-charges and the text that ``count`` prints; every guard is checked on every
-call, so a kept answer never skips a guard.  Every caller counts a set
-through its row of :data:`COUNTS`, which also holds the float bound on the
-count's size and the rounds of its kernel that the guard charges, so a new
-count is a kernel and one row.
+charges and the text that ``count`` prints, which it keeps in one record
+per set with the charges that text was written under, so a repeated
+``count`` reads one record and compares each charge with its guard.  Every
+guard is checked on every call, so a kept answer never skips a guard.
+Every caller counts a set through its row of :data:`COUNTS`, which also
+holds the float bound on the count's size and the rounds of its kernel
+that the guard charges, so a new count is a kernel and one row.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ def count_sigma_direct(p: SetPartition, guard: int = DEFAULT_GUARD) -> int:
     return total
 
 
+# the guard text of the grouped Sigma count's states, and their key in the memo
+_SIGMA_STATES = "Sigma count states"
+
+
 def count_sigma_grouped(profile: PartitionProfile, guard: int = DEFAULT_GUARD) -> int:
     """Sigma count by placing the domain blocks one at a time.
 
@@ -107,10 +113,10 @@ def count_sigma_grouped(profile: PartitionProfile, guard: int = DEFAULT_GUARD) -
     """
     memo = profile._memo
     try:
-        states = memo["Sigma count states"]
+        states = memo[_SIGMA_STATES]
     except KeyError:
-        states = memo["Sigma count states"] = prod(mult + 1 for _, mult in profile.entries) - 1
-    check_guard(states, guard, "Sigma count states")
+        states = memo[_SIGMA_STATES] = prod(mult + 1 for _, mult in profile.entries) - 1
+    check_guard(states, guard, _SIGMA_STATES)
     try:
         return memo["Sigma"]
     except KeyError:
@@ -211,13 +217,14 @@ def _log10_idempotent_count(n: int) -> float:
     return _log10_sum(map(term, range(first, last + 1)))
 
 
-def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
+def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> tuple[int, str]:
     """Charge ``guard`` with a bound on the work of counting and writing a count.
 
     A set is charged the decimal digits of its row's ``log10`` bound, times
     its row's rounds when it has any: such a count takes rounds of exact
     arithmetic on numbers as long as the count.  The charge is kept in the
-    profile's memo under its guard text, and checked on every call.
+    profile's memo under its guard text, checked on every call, and
+    returned as ``(required, guard text)``.
     """
     _, log10, rounds = COUNTS[set_name]
     what = f"{set_name} count digits" if rounds is None else f"{set_name} count digit rounds"
@@ -230,17 +237,35 @@ def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> None:
             required *= rounds(profile.entries)
         memo[what] = required
     check_guard(required, guard, what)
+    return required, what
 
 
 def _count_text(profile: PartitionProfile, set_name: str, guard: int) -> str:
-    """The decimal text of a set's count, written once and kept in the memo;
-    the digit charge and the count's own guard are checked on every call."""
-    _charge_count(profile, set_name, guard)
-    count = COUNTS[set_name][0](profile, guard)
-    key = f"{set_name} count text"
-    text = profile._memo.get(key)
-    if text is None:
-        text = profile._memo[key] = _int_text(count)
+    """The decimal text of a set's count, kept in the profile's memo.
+
+    The memo keeps one record per set: the text and the guard charges of
+    the call that wrote it, ``(required, guard text)`` in the order they are
+    checked, the digit charge first and then, for Sigma, its count's
+    states.  A kept record answers with no count call; every charge is
+    still checked on every call, ``check_guard`` called only to refuse.
+    The first call charges the digits, runs the row's count, writes the
+    text and keeps the record.
+    """
+    memo = profile._memo
+    key = set_name, "count text"
+    try:
+        text, charges = memo[key]
+    except KeyError:
+        charges = (_charge_count(profile, set_name, guard),)
+        count = COUNTS[set_name][0](profile, guard)
+        if set_name == "Sigma":  # the grouped count charged its own states
+            charges += ((memo[_SIGMA_STATES], _SIGMA_STATES),)
+        text = _int_text(count)
+        memo[key] = text, charges
+        return text
+    for required, what in charges:
+        if required > guard or guard < 1:
+            check_guard(required, guard, what)
     return text
 
 

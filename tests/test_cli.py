@@ -276,22 +276,35 @@ class TestCount:
             assert run(capsys, "count", *how, "--set", "T") == (0, "64\n", "")
         assert written == [64, 64]
 
-    @pytest.mark.parametrize(
-        "set_name, profile, guard",
-        [
-            *((name, "1:5,2:5", "1") for name in counting.COUNTS),
-            # past the digit charge of 1216, short of the 6560 Sigma count states
-            ("Sigma", ",".join(f"{size}:2" for size in range(1, 9)), "2000"),
-        ],
-    )
+    EIGHT_PAIRS = ",".join(f"{size}:2" for size in range(1, 9))
+    # (set, profile, guard) -> the charge that refuses it
+    REFUSED = {
+        ("T", "1:5,2:5", "1"): "T count digits needs 13",
+        ("Sigma", "1:5,2:5", "1"): "Sigma count digit rounds needs 130",
+        ("S", "1:5,2:5", "1"): "S count digits needs 6",
+        ("E-Sigma", "1:5,2:5", "1"): "E-Sigma count digit rounds needs 6",
+        # past the digit charge of 1216, short of the 6560 Sigma count states
+        ("Sigma", EIGHT_PAIRS, "2000"): "Sigma count states needs 6560",
+        ("T", "1:5,2:5", "12"): "T count digits needs 13",
+        # short of both the digit charge and the 35 states: digits come first
+        ("Sigma", "1:5,2:5", "34"): "Sigma count digit rounds needs 130",
+    }
+
+    @pytest.mark.parametrize("set_name, profile, guard", REFUSED)
     def test_guard_is_checked_after_a_kept_text(
         self, capsys, cold_memos, set_name, profile, guard
     ):
-        # the cold refusal first, then the same after the text is kept
+        # the cold refusal first, then the same twice after the text is kept
         argv = ("count", "--profile", profile, "--set", set_name)
         refused = run(capsys, *argv, "--guard", guard)
-        assert refused[0] == 3 and refused[2].startswith("error: ")
+        assert refused == (
+            3,
+            "",
+            f"error: {self.REFUSED[set_name, profile, guard]} items, exceeds guard {guard}; "
+            "raise the guard or use a counting formula instead\n",
+        )
         assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--guard", guard) == refused
         assert run(capsys, *argv, "--guard", guard) == refused
 
     def test_json_uses_decimal_strings(self, capsys):
@@ -693,6 +706,13 @@ class TestFindPartition:
         code, out, _ = run(capsys, "find-partition", "-f", "1,2,3,4,5,0", "-m", "3")
         assert (code, out) == (0, "0,3|1,4|2,5\n")
 
+    @pytest.mark.parametrize("spelling", [["--m", "2"], ["--m=2"]])
+    def test_long_spelling_of_m(self, capsys, spelling):
+        # --m is -m, not an abbreviation of --map
+        got = run(capsys, "find-partition", "-f", "1,2,3,0", *spelling, "--format", "json")
+        assert got[0] == 0 and json.loads(got[1])["m"] == 2
+        assert run(capsys, "find-partition", "-f", "1,2,3,0", *spelling) == (0, "0,2|1,3\n", "")
+
     def test_m_without_full_cycle_is_an_error(self, capsys):
         code, _, err = run(capsys, "find-partition", "-f", "1,0,3,2", "-m", "2")
         assert code == 2
@@ -1073,7 +1093,7 @@ def _plain_argvs():
         ],
         "quotient": [[]],
         "character": [[]],
-        "find-partition": [[], ["-m", "2"], ["--verify"], ["--verify", "-m", "0"]],
+        "find-partition": [[], ["-m", "2"], ["--m", "2"], ["--verify"], ["--verify", "-m", "0"]],
         "verify": [["--n-max", "0"], ["--n-max", "3"]],
     }
     shared = [
@@ -1129,6 +1149,8 @@ class TestDispatchParity:
         (["character", "--part", "0|1", "--map=1,0", "--format", "json"], None),
         (["find-partition", "-f", "1,0", "-m", "2", "--verify"], None),
         (["find-partition", "--map=1,0", "-m2", "--verif"], None),
+        (["find-partition", "-f", "1,2,3,0", "--m", "2"], None),
+        (["find-partition", "--ma", "1,0", "--m=2", "--verif"], None),
         (["verify", "--n-max", "2"], None),
         (["verify", "--n-max=2", "--format", "json", "--guard=9"], None),
         (["check", "-f", "0,1", "--predicate", "idempotent", "--", "x"], 2),
@@ -1311,6 +1333,15 @@ def exact_str(value):
         sys.set_int_max_str_digits(old)
 
 
+def str_accepts(value):
+    """Whether str() writes ``value`` under the digit limit in force."""
+    try:
+        str(value)
+    except ValueError:
+        return False
+    return True
+
+
 def count_output(set_name, profile_text, text, fmt):
     """The stdout of ``count --profile profile_text --set set_name --format fmt``
     for a count whose decimal text is ``text``."""
@@ -1338,10 +1369,24 @@ class TestIntText:
         assert cli._int_text(value) == str(value)
 
     def test_powers_of_two_around_the_switch(self):
-        # the writer hands ints of fewer than _STR_BITS bits to str()
-        for j in range(cli._STR_BITS - 3, cli._STR_BITS + 4):
+        # str() writes ints of up to 14 284 bits (4300 digits), and the
+        # decimal path splits longer ones down to leaves of _STR_BITS bits
+        for j in [*range(core._STR_BITS - 3, core._STR_BITS + 4), *range(14_281, 14_288)]:
             for value in (2**j, 2**j - 1, -(2**j), 2 ** (3 * j)):
                 assert cli._int_text(value) == exact_str(value)
+
+    @pytest.mark.parametrize("limit", [640, 1000, 4300, 9999, 0])
+    def test_str_writes_every_int_str_accepts(self, digit_limit, limit):
+        # under the limit in force, or the default one when it is off
+        digit_limit(limit)
+        digits = limit or 4300
+        for k in range(digits - 2, digits + 3):
+            for value in (10**k - 1, 10**k, 2 * 10**k, -(10**k - 1), -(10**k)):
+                for near in (value, 1 << value.bit_length(), 1 << (value.bit_length() - 1)):
+                    want = str_accepts(near) if limit else len(exact_str(abs(near))) <= digits
+                    assert core._str_writes(near) is want
+                    assert cli._int_writer(abs(near)) is (str if want else cli._int_text)
+                    assert cli._int_text(near) == exact_str(near)
 
     @settings(max_examples=40, deadline=None)
     @given(bits=st.integers(0, 166_000), seed=st.integers(0, 2**32), negative=st.booleans())
