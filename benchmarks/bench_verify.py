@@ -11,6 +11,10 @@ holds.  One measurement times:
 
 * ``verify_s``: one ``run_verification(n_max)`` call, the work of
   ``partmaps verify --n-max 5``;
+* ``self_rss_mb`` and ``workers_rss_mb``: the peak resident memory of the
+  measuring process and of its largest worker (``resource.RUSAGE_SELF``
+  and ``RUSAGE_CHILDREN``), read just after that call; a run in one
+  process has no workers and reads 0;
 * ``homomorphism_s``: the character-homomorphism law alone over every
   partition with at most ``PAIRWISE_N_MAX`` points, on a census built
   beforehand and not timed;
@@ -39,7 +43,7 @@ from partmaps.verification import LAWS
 
 # runs inside the child interpreter; prints one JSON object
 MEASURE = """
-import json, sys
+import json, resource, sys
 from collections import deque
 from time import perf_counter
 from partmaps import verification as v
@@ -50,6 +54,10 @@ n_max = int(sys.argv[1])
 start = perf_counter()
 results = v.run_verification(n_max)
 verify_s = perf_counter() - start
+self_rss_mb, workers_rss_mb = (
+    resource.getrusage(who).ru_maxrss / 1024
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+)
 assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
 
 census = [
@@ -72,6 +80,8 @@ brute_t_s = perf_counter() - start
 
 print(json.dumps({
     "verify_s": verify_s,
+    "self_rss_mb": self_rss_mb,
+    "workers_rss_mb": workers_rss_mb,
     "homomorphism_s": homomorphism_s,
     "brute_t_s": brute_t_s,
     "census_seconds": results.census_seconds,
@@ -82,6 +92,8 @@ print(json.dumps({
 
 METRICS = (
     "verify_s",
+    "self_rss_mb",
+    "workers_rss_mb",
     "homomorphism_s",
     "brute_t_s",
     "census_seconds",

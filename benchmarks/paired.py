@@ -78,6 +78,20 @@ def summary(samples: list[float]) -> dict:
     return {**quartiles(samples), "samples": samples}
 
 
+def compared(later: list[float], first: list[float]) -> dict:
+    """How a later tree's samples of one metric compare with the first tree's.
+
+    The ratios are null when a sample of the first tree is 0, as for a
+    measure that reads 0 on a tree without the thing it measures.
+    """
+    nonzero = all(first)
+    return {
+        "median_ratio": statistics.median(later) / statistics.median(first) if nonzero else None,
+        "rounds_faster": sum(a < b for a, b in zip(later, first)),
+        "round_ratio": quartiles([a / b for a, b in zip(later, first)]) if nonzero else None,
+    }
+
+
 def compare(
     args: argparse.Namespace,
     *,
@@ -136,19 +150,7 @@ def compare(
     }
     base = labels[0]
     report["comparison"] = {
-        label: {
-            m: {
-                "median_ratio": statistics.median(samples[label][m])
-                / statistics.median(samples[base][m]),
-                "rounds_faster": sum(
-                    a < b for a, b in zip(samples[label][m], samples[base][m])
-                ),
-                "round_ratio": quartiles(
-                    [a / b for a, b in zip(samples[label][m], samples[base][m])]
-                ),
-            }
-            for m in metrics
-        }
+        label: {m: compared(samples[label][m], samples[base][m]) for m in metrics}
         for label in labels[1:]
     }
     with open(args.out, "w") as fh:

@@ -72,6 +72,10 @@ class GuardExceededError(RuntimeError):
         self.required = required
         self.guard = guard
 
+    def __reduce__(self):
+        # rebuilt from its fields, so that it pickles, as from a worker process
+        return type(self), (self.what, self.required, self.guard)
+
 
 def check_guard(required: int, guard: int, what: str) -> None:
     if guard < 1:
@@ -491,14 +495,15 @@ def format_partition(p: SetPartition) -> str:
 
 def _str_writes(value: int) -> bool:
     """Whether ``_int_text`` hands ``value`` to ``str()``: whether ``str()``
-    writes it under the current digit limit, or under the default limit
-    when the limit is off, past which ``str()`` is the slower writer.
+    writes it under the current digit limit and the default limit both.
+    Past the default limit ``str()``, quadratic in the length, is the slower
+    writer, so a raised or lifted limit does not move the hand-over.
 
     ``top`` is log2(10**limit) rounded down, or one less, so an int of at
     most ``top`` bits is short enough, one of more than ``top + 2`` bits
     too long, and a power of ten settles the two lengths between.
     """
-    limit = _str_digits() or _DEFAULT_STR_DIGITS
+    limit = min(_str_digits() or _DEFAULT_STR_DIGITS, _DEFAULT_STR_DIGITS)
     bits = value.bit_length()
     top = limit * 3321928094887 // 10**12  # log2(10) = 3.3219280948873...
     return bits <= top or (bits <= top + 2 and abs(value) < 10**limit)
@@ -508,8 +513,8 @@ def _int_text(value: int) -> str:
     """``str(value)`` for an int of any length, in less than quadratic time.
 
     Every integer the CLI prints is written here.  ``str()`` writes every
-    int it accepts under ``sys.get_int_max_str_digits()`` (4300 digits by
-    default; see ``_str_writes``).  It refuses longer ones because its
+    int it accepts under ``sys.get_int_max_str_digits()``, up to the default
+    4300 digits (see ``_str_writes``).  It refuses longer ones because its
     conversion takes time quadratic in the length.  A longer int is split
     at a power of two, high * 2**w + low, each half written the same way
     down to ``_STR_BITS`` bits, and the halves are joined in ``decimal``,

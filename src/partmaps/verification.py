@@ -14,10 +14,22 @@ of many cases come from C-level ``map`` calls over the census lists and
 are counted at once.  Members are compared, and kept in sets, by their
 image tables.  Failure text is built only for failing cases, and only for
 the first three of each law.
+
+No partition's census or laws read another's, so a run splits the
+partitions into interleaved shares, one per usable CPU (the CPUs of
+``os.sched_getaffinity`` where it exists, else ``os.cpu_count()``) and at
+most one per partition; there is no option for it.  The caller runs the
+first share and forks one worker per other share, which sends its tallies
+back through a pipe.  The tallies merge in partition order, so the report
+is the one a single process gives, except that ``seconds`` and
+``census_seconds`` are summed over the processes.  Nothing forks where
+``os.fork`` is missing or the process runs more than one thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -91,7 +103,9 @@ class _Tally:
     cases: int = 0
     failures: int = 0
     seconds: float = 0.0
-    examples: list[str] = field(default_factory=list)
+    # the first three failures, each as (position of its partition in the run, text)
+    examples: list[tuple[int, str]] = field(default_factory=list)
+    position: int = 0  # the position of the partition being checked
 
     def check(self, ok: bool, describe: Callable[[], str]) -> None:
         """Count one case; ``describe`` builds its text only if it is kept.
@@ -115,7 +129,7 @@ class _Tally:
         failed = [i for i, ok in enumerate(flags) if not ok]
         self.failures += len(failed)
         for i in failed[: 3 - len(self.examples)]:
-            self.examples.append(describe(i))
+            self.examples.append((self.position, describe(i)))
 
     def check_equal(self, got: list, want: list, describe: Callable[[int], str]) -> None:
         """Count one case per position of two lists of equal length.
@@ -128,8 +142,14 @@ class _Tally:
         else:
             self.check_all(map(eq, got, want), describe)
 
-    def run(self, law: Callable[..., None], p: SetPartition, data: dict, guard: int) -> None:
-        """Run ``law(self, p, data, guard)`` and add its wall time to this tally."""
+    def run(
+        self, law: Callable[..., None], p: SetPartition, data: dict, guard: int, position: int = 0
+    ) -> None:
+        """Run ``law(self, p, data, guard)`` and add its wall time to this tally.
+
+        ``position`` is p's place in the run, kept with each failure text.
+        """
+        self.position = position
         start = perf_counter()
         law(self, p, data, guard)
         self.seconds += perf_counter() - start
@@ -137,7 +157,7 @@ class _Tally:
     def result(self) -> CheckResult:
         detail = f"{self.cases} cases"
         if self.failures:
-            detail += f", {self.failures} failures: " + "; ".join(self.examples)
+            detail += f", {self.failures} failures: " + "; ".join(text for _, text in self.examples)
         return CheckResult(self.name, self.failures == 0, self.cases, detail, self.seconds)
 
 
@@ -153,7 +173,16 @@ def _census(p: SetPartition, guard: int) -> dict[str, list]:
 
 
 def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
-    """Run every law of :data:`LAWS` on every partition of every n up to n_max."""
+    """Run every law of :data:`LAWS` on every partition of every n up to n_max.
+
+    The partitions are split into :func:`_split` shares, as many as
+    :func:`_ways` gives.  The caller runs the first share and one forked
+    worker runs each other share; every worker is reaped before this
+    returns or raises, and killed first if it is still running then.  An
+    exception raised by a law or the census, in any process, is raised here
+    with its type and message: the one raised at the earliest partition,
+    as a run in one process would raise it.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     # fail fast instead of grinding through the small ground sets first, at
@@ -162,17 +191,151 @@ def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
     for n in range(1, n_max + 1):
         check_guard(n**n, guard, f"brute-force candidate maps at n={n}")
     k = min(n_max, PAIRWISE_N_MAX)
-    laws = [(_Tally(name.format(k=k)), law) for name, law in LAWS]
-    census_seconds = 0.0
-    for p in chain.from_iterable(map(iter_partitions, range(1, n_max + 1))):
-        start = perf_counter()
-        data = _census(p, guard)
-        census_seconds += perf_counter() - start
-        for tally, law in laws:
-            tally.run(law, p, data, guard)
-    run = VerificationRun(tally.result() for tally, _ in laws)
-    run.census_seconds = census_seconds
+    names = [name.format(k=k) for name, _ in LAWS]
+    partitions = list(enumerate(chain.from_iterable(map(iter_partitions, range(1, n_max + 1)))))
+    own, *others = _split(partitions, _ways(len(partitions)))
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for share in others:
+            workers.append(_fork(share, names, guard))
+        shares = [_run_share(own, names, guard)]
+        shares += map(_receive, workers)
+    finally:
+        _stop(workers)
+    raised = [at for _, _, at in shares if at is not None]
+    if raised:
+        raise min(raised, key=itemgetter(0))[1]
+    run = VerificationRun(_merge(parts).result() for parts in zip(*(t for t, _, _ in shares)))
+    run.census_seconds = sum(seconds for _, seconds, _ in shares)
     return run
+
+
+def _ways(count: int) -> int:
+    """How many shares a run of ``count`` partitions splits into.
+
+    One per usable CPU, the caller's included, and at most one per
+    partition; one, so that nothing forks, where ``os.fork`` is missing or
+    the process runs more than one thread (a forked child gets only the
+    forking thread, and a lock another thread held stays held in it).
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, count)
+
+
+def _split(items: list, ways: int) -> list[list]:
+    """``items`` dealt into ``ways`` interleaved shares: share i holds items i, i + ways, ...
+
+    The partitions of a run grow in size along the list, so dealing them
+    out gives each share about as much work.
+    """
+    return [items[i::ways] for i in range(ways)]
+
+
+# a share's result: its tallies in law order, its census time, and the
+# (position, exception) of the raise that stopped it, or None
+_Share = tuple[list[_Tally], float, tuple[int, Exception] | None]
+
+
+def _run_share(share: list[tuple[int, SetPartition]], names: list[str], guard: int) -> _Share:
+    """Run every law on each (position, partition) of ``share``, in order, up to the first raise."""
+    tallies = [_Tally(name) for name in names]
+    census_seconds = 0.0
+    for position, p in share:
+        try:
+            start = perf_counter()
+            data = _census(p, guard)
+            census_seconds += perf_counter() - start
+            for tally, (_, law) in zip(tallies, LAWS):
+                tally.run(law, p, data, guard, position)
+        except Exception as exc:  # noqa: BLE001 - the caller raises the earliest of all shares
+            return tallies, census_seconds, (position, exc)
+    return tallies, census_seconds, None
+
+
+def _fork(share: list[tuple[int, SetPartition]], names: list[str], guard: int) -> tuple[int, int]:
+    """Start a worker running ``share``: (its pid, the read end of the pipe it answers on).
+
+    The worker sends its :func:`_run_share` result and exits; it never
+    returns from this call.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            _send(write, _run_share(share, names, guard))
+        finally:
+            os._exit(0)  # skips the caller's cleanup and stdio flushes, which are not ours
+    os.close(write)
+    return pid, read
+
+
+def _send(fd: int, result: _Share) -> None:
+    """Write ``result`` pickled to ``fd`` and close it.
+
+    A raised exception that would not come back whole from pickle goes as
+    a ``RuntimeError`` naming its type and message.
+    """
+    import pickle  # here, so that a process that never forks never loads it
+
+    tallies, census_seconds, raised = result
+    if raised is not None:
+        position, exc = raised
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # noqa: BLE001 - any failure to round-trip
+            raised = position, RuntimeError(f"{type(exc).__name__}: {exc}")
+    with open(fd, "wb") as pipe:
+        pickle.dump((tallies, census_seconds, raised), pipe)
+
+
+def _receive(worker: tuple[int, int]) -> _Share:
+    """The result a worker sends, read to the end of its pipe."""
+    import pickle
+
+    pid, fd = worker
+    with open(fd, "rb", closefd=False) as pipe:
+        payload = pipe.read()
+    if not payload:
+        raise RuntimeError(f"verification worker {pid} ended without a result")
+    return pickle.loads(payload)
+
+
+def _stop(workers: list[tuple[int, int]]) -> None:
+    """Close each worker's pipe, kill the worker if it still runs, and reap it."""
+    import signal  # here, like pickle
+
+    for pid, fd in workers:
+        os.close(fd)
+        os.kill(pid, signal.SIGKILL)  # a worker that has exited stays a zombie till reaped
+        os.waitpid(pid, 0)
+
+
+def _merge(parts: tuple[_Tally, ...]) -> _Tally:
+    """One law's tallies from every share as one: sums, and the first three failures by position.
+
+    Each share keeps its own first three, in position order, so the first
+    three of the run are among them; the sort is stable, so failures at one
+    partition keep their order.
+    """
+    examples = sorted(chain.from_iterable(t.examples for t in parts), key=itemgetter(0))
+    return _Tally(
+        parts[0].name,
+        sum(t.cases for t in parts),
+        sum(t.failures for t in parts),
+        sum(t.seconds for t in parts),
+        examples[:3],
+    )
 
 
 def _check_cardinalities(tally, p, data, guard):

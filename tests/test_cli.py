@@ -1377,16 +1377,28 @@ class TestIntText:
 
     @pytest.mark.parametrize("limit", [640, 1000, 4300, 9999, 0])
     def test_str_writes_every_int_str_accepts(self, digit_limit, limit):
-        # under the limit in force, or the default one when it is off
+        # under the limit in force, and at most the default 4300 digits, past
+        # which str() is the slower writer, whether the limit is raised or off
         digit_limit(limit)
-        digits = limit or 4300
+        digits = min(limit or 4300, 4300)
         for k in range(digits - 2, digits + 3):
             for value in (10**k - 1, 10**k, 2 * 10**k, -(10**k - 1), -(10**k)):
                 for near in (value, 1 << value.bit_length(), 1 << (value.bit_length() - 1)):
-                    want = str_accepts(near) if limit else len(exact_str(abs(near))) <= digits
+                    want = str_accepts(near) and len(exact_str(abs(near))) <= 4300
                     assert core._str_writes(near) is want
                     assert cli._int_writer(abs(near)) is (str if want else cli._int_text)
                     assert cli._int_text(near) == exact_str(near)
+
+    def test_a_raised_limit_does_not_move_the_hand_over(self, digit_limit):
+        # str() is quadratic: under a limit of 200 000 digits it would write
+        # this int, several times slower than the decimal path
+        digit_limit(200_000)
+        value = random.Random(5).getrandbits(332_190) | 1 << 332_190  # 100 000 digits
+        assert str_accepts(value) and len(str(value)) == 100_000
+        assert not core._str_writes(value)
+        assert cli._int_writer(value) is cli._int_text
+        assert cli._int_text(value) == str(value)
+        assert cli._int_text(-value) == str(-value)
 
     @settings(max_examples=40, deadline=None)
     @given(bits=st.integers(0, 166_000), seed=st.integers(0, 2**32), negative=st.booleans())

@@ -16,6 +16,7 @@ import oracles
 from partmaps.core import (
     CACHE_SIZE,
     CharacterMap,
+    GuardExceededError,
     ParseError,
     PartitionProfile,
     SetPartition,
@@ -599,3 +600,13 @@ class TestIterPartitions:
     def test_rejects_a_non_int_block_count(self, block_count):
         with pytest.raises(ValueError, match="not an int"):
             list(iter_partitions(3, block_count=block_count))
+
+
+class TestGuardExceededError:
+    def test_pickle_round_trip_keeps_fields_and_message(self):
+        for exc in (GuardExceededError("x", 5, 4), GuardExceededError("maps", 10**5000, 1)):
+            twin = pickle.loads(pickle.dumps(exc))
+            assert type(twin) is GuardExceededError
+            assert (twin.what, twin.required, twin.guard) == (exc.what, exc.required, exc.guard)
+            assert str(twin) == str(exc)
+        assert str(twin).startswith("maps needs 1")

@@ -1,8 +1,11 @@
 """The cross-validation harness: case counts, per-law timing, failure text."""
 
+import os
+import threading
+
 import pytest
 
-from partmaps import verification
+from partmaps import cli, verification
 from partmaps.core import DEFAULT_GUARD, CharacterMap, GuardExceededError
 from partmaps.verification import run_verification
 
@@ -242,3 +245,177 @@ def test_an_oversized_n_max_is_refused_at_the_first_n_past_the_guard(guard, n):
         n**n,
         guard,
     )
+
+
+# a run's partitions by position, up to n = 3: with two shares the caller
+# runs 0, 0|1, 0,1|2 and 0|1,2, and its worker 0,1, 0,1,2, 0,2|1 and 0|1|2
+AT_3 = ["0", "0,1", "0|1", "0,1,2", "0,1|2", "0,2|1", "0|1,2", "0|1|2"]
+
+
+def cpus(monkeypatch, count):
+    """Make the process see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def report(results):
+    return [(r.name, r.passed, r.cases, r.detail) for r in results]
+
+
+def test_shares_interleave_the_partitions():
+    assert verification._split(list(range(7)), 3) == [[0, 3, 6], [1, 4], [2, 5]]
+    assert verification._split(list(range(3)), 1) == [[0, 1, 2]]
+    assert verification._split(list(range(2)), 2) == [[0], [1]]
+
+
+def test_a_run_splits_into_one_share_per_usable_cpu(monkeypatch):
+    cpus(monkeypatch, 4)
+    assert [verification._ways(count) for count in (1, 3, 4, 52)] == [1, 3, 4, 4]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert verification._ways(52) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verification._ways(52) == 1
+
+
+def test_nothing_forks_where_fork_is_missing(monkeypatch):
+    cpus(monkeypatch, 4)
+    monkeypatch.delattr(os, "fork")
+    assert verification._ways(52) == 1
+
+
+def test_nothing_forks_beside_another_thread(monkeypatch):
+    cpus(monkeypatch, 4)
+    ways = []
+    thread = threading.Thread(target=lambda: ways.append(verification._ways(52)))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert ways == [1]
+
+
+def constant_maps_fail(monkeypatch):
+    """Fault the character and the topological route on the map sending
+    every point to 0, on a partition of two or more blocks: the identity
+    character, and the wrong answer.  Cases of several laws fail at many
+    partitions in every share, and the four-way law fails one case at each
+    such partition."""
+    real_character, real_topology = verification.character, verification.sigma_via_topology
+
+    def faulty(f, p):
+        return p.m > 1 and not any(f.images)
+
+    monkeypatch.setattr(
+        verification,
+        "character",
+        lambda f, p: CharacterMap(tuple(range(p.m))) if faulty(f, p) else real_character(f, p),
+    )
+    monkeypatch.setattr(
+        verification, "sigma_via_topology", lambda f, p: real_topology(f, p) != faulty(f, p)
+    )
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+def test_a_split_run_reports_what_one_process_does(monkeypatch, n_max, faulty):
+    if faulty:
+        constant_maps_fail(monkeypatch)
+    cpus(monkeypatch, 3)
+    split = run_verification(n_max)
+    assert_no_child_left()
+    cpus(monkeypatch, 1)
+    alone = run_verification(n_max)
+    assert report(split) == report(alone)
+    assert all(r.passed for r in alone) is not (faulty and n_max > 1)
+
+
+def test_the_first_three_failures_come_from_both_shares_in_order(monkeypatch):
+    constant_maps_fail(monkeypatch)
+    cpus(monkeypatch, 2)
+    law = _by_name(run_verification(3))["sigma-four-way-equivalence"]
+    # 0|1 and 0,1|2 are the caller's, 0,2|1 the worker's
+    assert law.detail == "108 cases, 5 failures: 0,0 at 0|1; 0,0,0 at 0,1|2; 0,0,0 at 0,2|1"
+    assert_no_child_left()
+
+
+def test_one_cpu_forks_nothing(monkeypatch):
+    cpus(monkeypatch, 1)
+
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    results = run_verification(3)
+    assert {r.name: r.cases for r in results} == CASES_AT_3
+    assert all(r.passed for r in results)
+
+
+def raising_at(*where):
+    """A law that raises at the partitions named, naming the partition and its process."""
+
+    def law(tally, p, data, guard):
+        if str(p) in where:
+            raise LookupError(f"{p} in process {os.getpid()}")
+
+    return law
+
+
+@pytest.mark.parametrize(
+    "where, first",
+    [(["0,1"], "0,1"), (["0,2|1", "0,1|2"], "0,1|2"), (["0|1", "0,1"], "0,1")],
+)
+def test_the_earliest_raise_reaches_the_caller_and_no_child_is_left(monkeypatch, where, first):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(verification, "LAWS", (*verification.LAWS, ("raises", raising_at(*where))))
+    with pytest.raises(LookupError) as exc:
+        run_verification(3)
+    assert str(exc.value).startswith(f"{first} in process ")
+    # each raising partition's own process: the caller's share holds the even positions
+    assert (str(exc.value) == f"{first} in process {os.getpid()}") == (AT_3.index(first) % 2 == 0)
+    assert_no_child_left()
+
+
+class NeedsTwoArguments(Exception):
+    """An exception that pickles but does not unpickle: its class takes two arguments."""
+
+    def __init__(self, what, count):
+        super().__init__(f"{what} x{count}")
+
+
+def test_an_exception_that_does_not_unpickle_arrives_as_its_type_and_message(monkeypatch):
+    def raises(tally, p, data, guard):
+        if str(p) == "0,1":  # in the worker's share
+            raise NeedsTwoArguments("boom", 2)
+
+    monkeypatch.setattr(verification, "LAWS", (*verification.LAWS, ("raises", raises)))
+    cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^NeedsTwoArguments: boom x2$"):
+        run_verification(2)
+    assert_no_child_left()
+    cpus(monkeypatch, 1)
+    with pytest.raises(NeedsTwoArguments, match="^boom x2$"):
+        run_verification(2)
+
+
+def test_a_refusal_in_a_workers_share_exits_3_with_the_callers_text(monkeypatch, capsys):
+    def refuses(tally, p, data, guard):
+        if str(p) == "0,2|1":  # in the worker's share
+            raise GuardExceededError("widgets at 0,2|1", 5, 4)
+
+    monkeypatch.setattr(verification, "LAWS", (*verification.LAWS, ("refuses", refuses)))
+    outcomes = []
+    for count in (2, 1):
+        cpus(monkeypatch, count)
+        code = cli.main(["verify", "--n-max", "3"])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1] == (
+        3,
+        "",
+        "error: widgets at 0,2|1 needs 5 items, exceeds guard 4; "
+        "raise the guard or use a counting formula instead\n",
+    )
+    assert_no_child_left()
