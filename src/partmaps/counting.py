@@ -9,7 +9,9 @@ other.
 
 Every count except the direct Sigma form depends only on the profile, so
 each is computed by a private kernel on ``profile.entries`` and kept in the
-memo the profile owns (see ``PartitionProfile``).  ``profile_of`` hands out
+memo the profile owns (see ``PartitionProfile``): every kept value is read
+as ``memo.get(key) or _fill(profile, key, kernel)``, so a miss runs the
+kernel once and keeps what it returns.  ``profile_of`` hands out
 one profile per block sizes, so a sweep over all partitions of n evaluates
 each formula once per profile, not once per partition, and a repeated count
 costs one dict read.  The memo is the one home of a count, its guard
@@ -24,12 +26,23 @@ that the guard charges, so a new count is a kernel and one row.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from math import comb, factorial, fsum, inf, lgamma, log, log10, prod
 
 from .core import DEFAULT_GUARD, PartitionProfile, SetPartition, _int_text, check_guard
 
 import itertools
+
+
+def _fill(profile: PartitionProfile, key: str, kernel: Callable[[tuple], int]) -> int:
+    """Keep ``kernel(profile.entries)`` in the profile's memo under ``key``, and return it.
+
+    Every value kept this way is a count, Sigma's state count or a digit
+    charge, each at least 1, so a read ``memo.get(key) or _fill(...)``
+    takes a falsy answer for a miss and never fills a key twice.
+    """
+    value = profile._memo[key] = kernel(profile.entries)
+    return value
 
 
 def idempotent_count(n: int) -> int:
@@ -48,12 +61,7 @@ def count_t(profile: PartitionProfile) -> int:
     A map is assembled blockwise; a block of size s has ``sum(m_j * s_j**s)``
     possible restrictions, one term per choice of codomain block.
     """
-    memo = profile._memo
-    try:
-        return memo["T"]
-    except KeyError:
-        count = memo["T"] = _count_t(profile.entries)
-        return count
+    return profile._memo.get("T") or _fill(profile, "T", _count_t)
 
 
 def _count_t(entries: tuple[tuple[int, int], ...]) -> int:
@@ -66,12 +74,7 @@ def _count_t(entries: tuple[tuple[int, int], ...]) -> int:
 def count_units(profile: PartitionProfile) -> int:
     """Size of the group of units: m_i! block arrangements per size class,
     times n_i! bijections per block."""
-    memo = profile._memo
-    try:
-        return memo["S"]
-    except KeyError:
-        count = memo["S"] = _count_units(profile.entries)
-        return count
+    return profile._memo.get("S") or _fill(profile, "S", _count_units)
 
 
 def _count_units(entries: tuple[tuple[int, int], ...]) -> int:
@@ -112,16 +115,13 @@ def count_sigma_grouped(profile: PartitionProfile, guard: int = DEFAULT_GUARD) -
     counts them (less the start state).
     """
     memo = profile._memo
-    try:
-        states = memo[_SIGMA_STATES]
-    except KeyError:
-        states = memo[_SIGMA_STATES] = prod(mult + 1 for _, mult in profile.entries) - 1
+    states = memo.get(_SIGMA_STATES) or _fill(profile, _SIGMA_STATES, _sigma_states)
     check_guard(states, guard, _SIGMA_STATES)
-    try:
-        return memo["Sigma"]
-    except KeyError:
-        count = memo["Sigma"] = _count_sigma_grouped(profile.entries)
-        return count
+    return memo.get("Sigma") or _fill(profile, "Sigma", _count_sigma_grouped)
+
+
+def _sigma_states(entries: tuple[tuple[int, int], ...]) -> int:
+    return prod(mult + 1 for _, mult in entries) - 1
 
 
 def _count_sigma_grouped(entries: tuple[tuple[int, int], ...]) -> int:
@@ -144,12 +144,7 @@ def count_sigma_idempotents(profile: PartitionProfile) -> int:
     Such idempotents restrict to an independent idempotent selfmap on each
     block, so the count is a product of per-block idempotent counts.
     """
-    memo = profile._memo
-    try:
-        return memo["E-Sigma"]
-    except KeyError:
-        count = memo["E-Sigma"] = _count_sigma_idempotents(profile.entries)
-        return count
+    return profile._memo.get("E-Sigma") or _fill(profile, "E-Sigma", _count_sigma_idempotents)
 
 
 def _count_sigma_idempotents(entries: tuple[tuple[int, int], ...]) -> int:
@@ -228,14 +223,9 @@ def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> tuple
     """
     _, log10, rounds = COUNTS[set_name]
     what = f"{set_name} count digits" if rounds is None else f"{set_name} count digit rounds"
-    memo = profile._memo
-    try:
-        required = memo[what]
-    except KeyError:
-        required = int(log10(profile.entries)) + 1
-        if rounds is not None:
-            required *= rounds(profile.entries)
-        memo[what] = required
+    required = profile._memo.get(what) or _fill(
+        profile, what, lambda e: (int(log10(e)) + 1) * (rounds(e) if rounds else 1)
+    )
     check_guard(required, guard, what)
     return required, what
 

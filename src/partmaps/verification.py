@@ -20,10 +20,12 @@ partitions into interleaved shares, one per usable CPU (the CPUs of
 ``os.sched_getaffinity`` where it exists, else ``os.cpu_count()``) and at
 most one per partition; there is no option for it.  The caller runs the
 first share and forks one worker per other share, which sends its tallies
-back through a pipe.  The tallies merge in partition order, so the report
-is the one a single process gives, except that ``seconds`` and
-``census_seconds`` are summed over the processes.  Nothing forks where
-``os.fork`` is missing or the process runs more than one thread.
+back through a pipe; a share whose pipe or fork fails (a process or memory
+limit, say) is run by the caller after its own.  The tallies merge in
+partition order, so the report is the one a single process gives, except
+that ``seconds`` and ``census_seconds`` are summed over the processes.
+Nothing forks where ``os.fork`` is missing or the process runs more than
+one thread.
 """
 
 from __future__ import annotations
@@ -177,7 +179,8 @@ def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
 
     The partitions are split into :func:`_split` shares, as many as
     :func:`_ways` gives.  The caller runs the first share and one forked
-    worker runs each other share; every worker is reaped before this
+    worker runs each other share, or the caller runs it after its own if
+    :func:`_fork` raises ``OSError``; every worker is reaped before this
     returns or raises, and killed first if it is still running then.  An
     exception raised by a law or the census, in any process, is raised here
     with its type and message: the one raised at the earliest partition,
@@ -195,10 +198,14 @@ def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
     partitions = list(enumerate(chain.from_iterable(map(iter_partitions, range(1, n_max + 1)))))
     own, *others = _split(partitions, _ways(len(partitions)))
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    mine = [own]  # the shares this process runs
     try:
         for share in others:
-            workers.append(_fork(share, names, guard))
-        shares = [_run_share(own, names, guard)]
+            try:
+                workers.append(_fork(share, names, guard))
+            except OSError:  # no pipe or no process to be had: run the share here
+                mine.append(share)
+        shares = [_run_share(share, names, guard) for share in mine]
         shares += map(_receive, workers)
     finally:
         _stop(workers)

@@ -1,9 +1,10 @@
 import re
 from collections import Counter
 from math import factorial, log10, prod
+from operator import itemgetter
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -323,19 +324,68 @@ FORMULAS = {
 }
 
 
+def counted(calls, name, kernel):
+    """``kernel``, counting each of its calls in ``calls[name]``."""
+
+    def call(entries):
+        calls[name] += 1
+        return kernel(entries)
+
+    return call
+
+
 @pytest.fixture
 def formula_calls(monkeypatch, cold_memos):
     """Calls of each formula by its name, counted from a cold start: every
     profile handed out from here on has an empty memo."""
     calls = Counter()
     for name in FORMULAS.values():
-
-        def counted(entries, name=name, formula=getattr(counting, name)):
-            calls[name] += 1
-            return formula(entries)
-
-        monkeypatch.setattr(counting, name, counted)
+        monkeypatch.setattr(counting, name, counted(calls, name, getattr(counting, name)))
     return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch, formula_calls):
+    """``formula_calls``, also counting the other kernels whose values a
+    profile's memo keeps: Sigma's state count, under its name, and each
+    ``COUNTS`` row's ``log10`` bound, which its digit charge reads, under
+    ``"<set> log10"``."""
+    name = "_sigma_states"
+    monkeypatch.setattr(counting, name, counted(formula_calls, name, getattr(counting, name)))
+    for set_name, (count, log10_bound, rounds) in counting.COUNTS.items():
+        bound = counted(formula_calls, f"{set_name} log10", log10_bound)
+        monkeypatch.setitem(counting.COUNTS, set_name, (count, bound, rounds))
+    return formula_calls
+
+
+# profiles of up to three size classes, up to 6 points a block and 4 blocks a class
+small_profiles = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 4)), min_size=1, max_size=3, unique_by=itemgetter(0)
+).map(lambda entries: PartitionProfile(tuple(entries)))
+
+
+class TestKeptValues:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(small_profiles)
+    def test_every_kept_value_is_positive_and_computed_once(self, kernel_calls, prof):
+        # a falsy read of the memo is taken for a miss, so nothing kept may be 0
+        def read():
+            counts = [public(prof) for public in FORMULAS]
+            charges = [counting._charge_count(prof, name, DEFAULT_GUARD) for name in counting.COUNTS]
+            return counts, charges
+
+        before = Counter(kernel_calls)
+        counts, charges = read()
+        assert kernel_calls - before == Counter(
+            [*FORMULAS.values(), "_sigma_states", *(f"{name} log10" for name in counting.COUNTS)]
+        )
+        kept = dict(prof._memo)
+        assert set(kept) == {*counting.COUNTS, counting._SIGMA_STATES, *(what for _, what in charges)}
+        assert all(type(value) is int and value >= 1 for value in kept.values())
+        after = Counter(kernel_calls)
+        assert read() == (counts, charges)
+        assert kernel_calls == after
+        assert prof._memo == kept
 
 
 class TestPerProfileCaches:

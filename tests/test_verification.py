@@ -1,6 +1,7 @@
 """The cross-validation harness: case counts, per-law timing, failure text."""
 
 import os
+import signal
 import threading
 
 import pytest
@@ -418,4 +419,64 @@ def test_a_refusal_in_a_workers_share_exits_3_with_the_callers_text(monkeypatch,
         "error: widgets at 0,2|1 needs 5 items, exceeds guard 4; "
         "raise the guard or use a counting formula instead\n",
     )
+    assert_no_child_left()
+
+
+def failing_fork(monkeypatch, fails):
+    """Make ``os.fork`` raise ``BlockingIOError``, as under a process limit,
+    on the calls whose number (from 1) ``fails`` holds; it forks on the rest."""
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if fails(len(calls)):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fails, forks",
+    [(lambda call: True, 2), (lambda call: call == 1, 2)],
+    ids=["always", "second-share"],
+)
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+def test_a_share_that_cannot_fork_runs_in_the_caller(monkeypatch, fails, forks, faulty):
+    # three shares: the caller's, then a fork for the second and the third
+    if faulty:
+        constant_maps_fail(monkeypatch)
+    calls = failing_fork(monkeypatch, fails)
+    cpus(monkeypatch, 3)
+    fallback = run_verification(4)
+    assert len(calls) == forks
+    assert_no_child_left()
+    cpus(monkeypatch, 1)
+    assert report(fallback) == report(run_verification(4))
+
+
+def test_verify_exits_as_one_process_does_when_fork_fails(monkeypatch, capsys):
+    failing_fork(monkeypatch, lambda call: True)
+    outcomes = []
+    for count in (2, 1):
+        cpus(monkeypatch, count)
+        code = cli.main(["verify", "--n-max", "3"])
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][1].err == ""
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_mid_share_is_reported_and_reaped(monkeypatch):
+    caller = os.getpid()
+
+    def dies(tally, p, data, guard):
+        if str(p) == "0,1" and os.getpid() != caller:  # in the worker's share
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(verification, "LAWS", (*verification.LAWS, ("dies", dies)))
+    cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^verification worker \d+ ended without a result$"):
+        run_verification(3)
     assert_no_child_left()
