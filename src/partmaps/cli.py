@@ -173,6 +173,22 @@ def _count_profile(partition: str | None, profile: str | None) -> PartitionProfi
     return _parse_profile(profile)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _count_text(partition: str | None, profile: str | None, set_name: str, guard: int) -> str:
+    """The decimal text ``count`` prints, kept by every argument of the call.
+
+    The first call charges the guard with the count's digits, counts
+    through the set's row of ``counting.COUNTS`` (Sigma's count charges
+    its own states) and writes the text.  The text and every refusal
+    depend on these four arguments alone, and a refusal raises and is not
+    kept, so a kept text only answers a call that would write the same
+    text, with no charge to check again.
+    """
+    kept = _count_profile(partition, profile)
+    counting._charge_count(kept, set_name, guard)
+    return _int_text(counting.COUNTS[set_name][0](kept, guard))
+
+
 def _int_writer(bound: int) -> Callable[[int], str]:
     """The writer of ints no longer than ``bound``: ``str`` itself when
     ``_int_text`` would hand them all to it, so that many short ints are
@@ -183,15 +199,15 @@ def _int_writer(bound: int) -> Callable[[int], str]:
 def cmd_count(args: argparse.Namespace) -> int:
     if (args.partition is None) == (args.profile is None):
         raise ParseError("give exactly one of -p/--partition and --profile")
-    profile = _count_profile(args.partition, args.profile)
     # a set without a count formula is rejected by the parser
-    text = counting._count_text(profile, args.set, args.guard)
+    text = _count_text(args.partition, args.profile, args.set, args.guard)
     if args.format == "json":
+        entries = _count_profile(args.partition, args.profile).entries
         _emit_json(
             {
                 "command": "count",
                 "set": args.set,
-                "profile": ",".join(f"{s}:{c}" for s, c in profile.entries),
+                "profile": ",".join(f"{s}:{c}" for s, c in entries),
                 "count": text,
             }
         )

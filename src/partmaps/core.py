@@ -43,7 +43,8 @@ DEFAULT_GUARD = 10**7
 
 # entries kept by each bounded cache: the profiles ``profile_of`` keeps by
 # block sizes and ``count`` keeps by text, each with its memo of counts and
-# count texts, and ``enumeration``'s kernels; n <= 14 has only 135 profiles
+# guard charges, the texts ``count`` keeps by its arguments, and
+# ``enumeration``'s kernels; n <= 14 has only 135 profiles
 CACHE_SIZE = 1024
 
 # ints of fewer bits than this have fewer decimal digits than the smallest
@@ -188,12 +189,12 @@ class PartitionProfile:
     constructor sorts by size and rejects repeated sizes.
 
     Each profile also owns a memo, a dict in which ``counting`` keeps the
-    profile's counts, guard charges and count texts; it starts empty and
-    lives as long as the profile.  Sharing is decided by the caches that
-    hand out profiles: ``profile_of`` keeps one profile per block sizes,
-    so a sweep counts each profile once.  The memo is not a field: it
-    takes no part in equality, hashing or repr, and a pickled or copied
-    profile is rebuilt from its entries with an empty memo.
+    profile's counts and guard charges; it starts empty and lives as long
+    as the profile.  Sharing is decided by the caches that hand out
+    profiles: ``profile_of`` keeps one profile per block sizes, so a sweep
+    counts each profile once.  The memo is not a field: it takes no part
+    in equality, hashing or repr, and a pickled or copied profile is
+    rebuilt from its entries with an empty memo.
     """
 
     entries: tuple[tuple[int, int], ...]

@@ -14,11 +14,10 @@ as ``memo.get(key) or _fill(profile, key, kernel)``, so a miss runs the
 kernel once and keeps what it returns.  ``profile_of`` hands out
 one profile per block sizes, so a sweep over all partitions of n evaluates
 each formula once per profile, not once per partition, and a repeated count
-costs one dict read.  The memo is the one home of a count, its guard
-charges and the text that ``count`` prints, which it keeps in one record
-per set with the charges that text was written under, so a repeated
-``count`` reads one record and compares each charge with its guard.  Every
-guard is checked on every call, so a kept answer never skips a guard.
+costs one dict read.  The memo is the one home of a count and its guard
+charges, and every guard is checked on every call, so a kept count never
+skips a guard.  The text ``count`` prints is no business of this module:
+``cli`` keeps it, keyed by every argument of the call, the guard included.
 Every caller counts a set through its row of :data:`COUNTS`, which also
 holds the float bound on the count's size and the rounds of its kernel
 that the guard charges, so a new count is a kernel and one row.
@@ -29,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from math import comb, factorial, fsum, inf, lgamma, log, log10, prod
 
-from .core import DEFAULT_GUARD, PartitionProfile, SetPartition, _int_text, check_guard
+from .core import DEFAULT_GUARD, PartitionProfile, SetPartition, check_guard
 
 import itertools
 
@@ -228,35 +227,6 @@ def _charge_count(profile: PartitionProfile, set_name: str, guard: int) -> tuple
     )
     check_guard(required, guard, what)
     return required, what
-
-
-def _count_text(profile: PartitionProfile, set_name: str, guard: int) -> str:
-    """The decimal text of a set's count, kept in the profile's memo.
-
-    The memo keeps one record per set: the text and the guard charges of
-    the call that wrote it, ``(required, guard text)`` in the order they are
-    checked, the digit charge first and then, for Sigma, its count's
-    states.  A kept record answers with no count call; every charge is
-    still checked on every call, ``check_guard`` called only to refuse.
-    The first call charges the digits, runs the row's count, writes the
-    text and keeps the record.
-    """
-    memo = profile._memo
-    key = set_name, "count text"
-    try:
-        text, charges = memo[key]
-    except KeyError:
-        charges = (_charge_count(profile, set_name, guard),)
-        count = COUNTS[set_name][0](profile, guard)
-        if set_name == "Sigma":  # the grouped count charged its own states
-            charges += ((memo[_SIGMA_STATES], _SIGMA_STATES),)
-        text = _int_text(count)
-        memo[key] = text, charges
-        return text
-    for required, what in charges:
-        if required > guard or guard < 1:
-            check_guard(required, guard, what)
-    return text
 
 
 # name -> (count(profile, guard), log10(entries), rounds(entries) or None)

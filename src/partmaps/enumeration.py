@@ -342,8 +342,11 @@ def iter_idempotents(
 def _collect(
     p: SetPartition, set_name: str, strategy: str, limit: int | None, guard: int
 ) -> Enumeration:
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
+    if limit is not None:
+        if type(limit) is not int:
+            raise ValueError(f"limit {limit!r} is not an int")
+        if limit < 0:
+            raise ValueError("limit must be nonnegative")
     stream = _members(p, set_name, strategy, guard, limit)
     if limit is None:
         return Enumeration(list(stream), False)

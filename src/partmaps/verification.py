@@ -186,6 +186,8 @@ def run_verification(n_max: int, guard: int = DEFAULT_GUARD) -> VerificationRun:
     with its type and message: the one raised at the earliest partition,
     as a run in one process would raise it.
     """
+    if type(n_max) is not int:
+        raise ValueError(f"n_max {n_max!r} is not an int")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     # fail fast instead of grinding through the small ground sets first, at

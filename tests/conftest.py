@@ -13,6 +13,8 @@ from partmaps import cli, core  # noqa: E402
 def cold_memos():
     """Drop every kept profile, so that each profile handed out next starts
     with an empty memo: those ``profile_of`` keeps by block sizes and those
-    ``count`` keeps by text."""
+    ``count`` keeps by text; and every text ``count`` keeps, so that each
+    call runs its charges and its count."""
     core._profile_of_sizes.cache_clear()
     cli._count_profile.cache_clear()
+    cli._count_text.cache_clear()

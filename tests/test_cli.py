@@ -236,6 +236,13 @@ class TestCount:
     def test_malformed_profile_rejected(self, capsys):
         assert run(capsys, "count", "--profile", "2x1", "--set", "T")[0] == 2
 
+    def test_non_int_profile_entry_rejected(self, capsys):
+        assert run(capsys, "count", "--profile", "2:x", "--set", "T") == (
+            2,
+            "",
+            "error: invalid profile entry '2:x'\n",
+        )
+
     def test_requires_exactly_one_input(self, capsys):
         assert run(capsys, "count", "--set", "T")[0] == 2
         assert run(capsys, "count", "-p", "0|1", "--profile", "1:2", "--set", "T")[0] == 2
@@ -266,15 +273,18 @@ class TestCount:
         want = factorial(35) * factorial(30) ** 35 * factorial(63) * factorial(36) ** 63
         assert first[0] == 0 and str(want) in first[1]
 
-    def test_text_is_written_once_per_profile_and_set(self, capsys, monkeypatch, cold_memos):
-        # the profile's memo keeps the text; count keeps one profile per text,
-        # and -p reads profile_of's
+    def test_text_is_written_once_per_text_set_and_guard(self, capsys, monkeypatch, cold_memos):
+        # count keeps its text by every argument: a repeated call reads it,
+        # and each other text, or another guard, writes it once more
         written = []
-        write = counting._int_text
-        monkeypatch.setattr(counting, "_int_text", lambda n: written.append(n) or write(n))
+        write = cli._int_text
+        monkeypatch.setattr(cli, "_int_text", lambda n: written.append(n) or write(n))
         for how in [("--profile", "2:2")] * 2 + [("-p", "0,1|2,3"), ("-p", "2,3|0,1")]:
             assert run(capsys, "count", *how, "--set", "T") == (0, "64\n", "")
-        assert written == [64, 64]
+        assert written == [64, 64, 64]
+        argv = ("count", "--profile", "2:2", "--set", "T", "--guard", "100")
+        assert run(capsys, *argv) == (0, "64\n", "")
+        assert written == [64, 64, 64, 64]
 
     EIGHT_PAIRS = ",".join(f"{size}:2" for size in range(1, 9))
     # (set, profile, guard) -> the charge that refuses it
@@ -688,6 +698,11 @@ class TestCharacter:
         assert payload["character"] == "0,0"
         assert payload["surjective"] is False
 
+    def test_csv(self, capsys):
+        code, out, _ = run(capsys, "character", "-p", "0,1|2", "-f", "2,2,0", "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [["character"], ["1,0"]]
+
 
 class TestFindPartition:
     def test_witness(self, capsys):
@@ -777,6 +792,13 @@ class TestVerify:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["name", "passed", "cases"]
         assert all(row[1] == "true" for row in rows[1:])
+
+    def test_n_max_below_one_is_an_input_error(self, capsys):
+        assert run(capsys, "verify", "--n-max", "0") == (
+            2,
+            "",
+            "error: n_max must be at least 1\n",
+        )
 
     @pytest.mark.parametrize("n_max", ["9", "10000000"])
     def test_oversized_n_max_fails_fast_with_guard_exit(self, capsys, n_max):

@@ -254,6 +254,10 @@ class TestProfile:
         with pytest.raises(ValueError, match="repeated block size 2"):
             PartitionProfile(((2, 1), (2, 3)))
 
+    def test_rejects_no_entries(self):
+        with pytest.raises(ValueError, match="^profile needs at least one entry$"):
+            PartitionProfile(())
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="must be positive"):
             PartitionProfile(((2, 0),))
@@ -465,6 +469,14 @@ class TestCharacterMapType:
         with pytest.raises(ValueError, match="out of range"):
             CharacterMap((0, 2))
 
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValueError, match="^character map needs at least one block$"):
+            CharacterMap(())
+
+    def test_call_reads_the_image_of_a_block(self):
+        chi = CharacterMap((2, 0, 0))
+        assert [chi(i) for i in range(chi.m)] == [2, 0, 0]
+
     def test_predicates(self):
         assert CharacterMap((0, 1)).is_identity()
         assert CharacterMap((1, 0)).is_bijective()
@@ -477,6 +489,10 @@ class TestCharacterMapType:
         b = CharacterMap((0, 0, 1))
         assert a.compose(b).images == (0, 0, 1)
         assert b.compose(a).images == (1, 1, 0)
+
+    def test_compose_rejects_other_block_counts(self):
+        with pytest.raises(ValueError, match="^block counts differ: 1 != 2$"):
+            CharacterMap((0,)).compose(CharacterMap((0, 1)))
 
     def test_as_transformation(self):
         assert CharacterMap((1, 0)).as_transformation() == Transformation((1, 0))

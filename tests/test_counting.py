@@ -327,9 +327,9 @@ FORMULAS = {
 def counted(calls, name, kernel):
     """``kernel``, counting each of its calls in ``calls[name]``."""
 
-    def call(entries):
+    def call(*args):
         calls[name] += 1
-        return kernel(entries)
+        return kernel(*args)
 
     return call
 
@@ -462,9 +462,33 @@ class TestPerProfileCaches:
         assert len(got) == 2 and got[0] == got[1]
         assert not formula_calls
 
+    @pytest.mark.parametrize("set_name", list(counting.COUNTS))
+    def test_repeated_count_reads_its_kept_text(self, kernel_calls, monkeypatch, capsys, set_name):
+        # a repeated identical count charges nothing, counts nothing and
+        # writes nothing: the text kept by its arguments answers it
+        calls = Counter()
+        monkeypatch.setattr(
+            counting, "_charge_count", counted(calls, "charge", counting._charge_count)
+        )
+        count, log10_bound, rounds = counting.COUNTS[set_name]
+        monkeypatch.setitem(
+            counting.COUNTS, set_name, (counted(calls, "count", count), log10_bound, rounds)
+        )
+        monkeypatch.setattr(cli, "_int_text", counted(calls, "write", cli._int_text))
+        argv = ["count", "--profile", "1:5,2:5", "--set", set_name]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr()
+        assert calls == {"charge": 1, "count": 1, "write": 1}
+        kept = Counter(kernel_calls)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == first
+        assert calls == {"charge": 1, "count": 1, "write": 1}
+        assert kernel_calls == kept
+
     def test_every_cache_is_bounded(self):
         assert CACHE_SIZE >= 1
         assert cli._count_profile.cache_info().maxsize == CACHE_SIZE
+        assert cli._count_text.cache_info().maxsize == CACHE_SIZE
         # no cache beside the memo
         assert not hasattr(counting._log10_idempotent_count, "cache_info")
         for name in FORMULAS.values():

@@ -59,6 +59,9 @@ class TestDecompose:
     def test_str_form(self):
         assert str(decompose(t(1, 0, 3, 2))) == "(0 1)(2 3)"
 
+    def test_lengths_follow_the_cycles(self):
+        assert decompose(t(1, 0, 2, 4, 5, 3)).lengths == (2, 1, 3)
+
 
 class TestKernelPartition:
     def test_two_points_identified(self):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from math import factorial
 
 import pytest
@@ -173,6 +174,20 @@ class TestOrderingAndLimits:
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_t(P3, limit=-1)
+
+    @pytest.mark.parametrize("limit", [True, False, 2.5, 3.0, "3"])
+    @pytest.mark.parametrize(
+        "enumerate_set", [enumerate_t, enumerate_sigma, enumerate_units, enumerate_idempotents]
+    )
+    def test_non_int_limit_rejected(self, enumerate_set, limit):
+        # bool included: True would otherwise ask for a one-map prefix
+        with pytest.raises(ValueError, match=f"^limit {re.escape(repr(limit))} is not an int$"):
+            enumerate_set(P3, limit=limit)
+
+    def test_enumeration_indexes_its_maps(self):
+        out = enumerate_t(P3, limit=4)
+        assert [out[i] for i in range(len(out))] == out.maps == list(out)
+        assert out[-1] == out.maps[3]
 
 
 class TestGuards:

@@ -1,6 +1,7 @@
 """The cross-validation harness: case counts, per-law timing, failure text."""
 
 import os
+import re
 import signal
 import threading
 
@@ -227,6 +228,31 @@ def test_each_law_and_the_census_are_timed():
     results = run_verification(3)
     assert all(r.seconds > 0 for r in results)
     assert results.census_seconds > 0
+
+
+def test_wrong_character_fails_the_t_idempotent_law_with_its_text(monkeypatch):
+    real = verification.character
+
+    def wrong(f, p):
+        # the identity on 0|1 has character 0,1, not the swap 1,0
+        return CharacterMap((1, 0)) if f.images == (0, 1) and p.m == 2 else real(f, p)
+
+    monkeypatch.setattr(verification, "character", wrong)
+    law = _by_name(run_verification(2))["t-idempotent-character"]
+    assert not law.passed
+    assert law.detail == "15 cases, 1 failures: character of 0,1 at 0|1"
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_n_max_below_one_is_rejected(n_max):
+    with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+        run_verification(n_max)
+
+
+@pytest.mark.parametrize("n_max", [True, 2.5, 2.0, "2"])
+def test_non_int_n_max_is_rejected(n_max):
+    with pytest.raises(ValueError, match=f"^n_max {re.escape(repr(n_max))} is not an int$"):
+        run_verification(n_max)
 
 
 @pytest.mark.parametrize("guard", [0, -1])
